@@ -1,17 +1,11 @@
-"""E15 — abstract-interpretation cost certificates (soundness + payoff).
+"""E15 — abstract-interpretation cost certificates (soundness).
 
-Two claims, both falsifiable against the committed seed:
-
-* **soundness** — for every case that records both, the certificate's
-  ``predicted_nodes`` (the sound per-component ``prod(1 + rows) - 1``
-  bound composed over obligation patterns and witness stages) must be
-  at least the actual ``SearchCounters.nodes`` of the corresponding
-  fresh check.  ``check_regression.py`` fails hard on any violation —
-  an unsound bound is a bug in the abstract interpreter, not noise;
-* **payoff** — ``ordering="cost"`` (per-component strategy choice from
-  the same cost model) must stay within 10% wall time of the best
-  *fixed* ordering on every suite (rows tagged ``suite``/``ordering``;
-  compared within one fresh run, so machine speed cancels out).
+For every case that records both, the certificate's
+``predicted_nodes`` (the sound per-component ``prod(1 + rows) - 1``
+bound composed over obligation patterns and witness stages) must be at
+least the actual ``SearchCounters.nodes`` of the corresponding fresh
+check.  ``check_regression.py`` fails hard on any violation — an
+unsound bound is a bug in the abstract interpreter, not noise.
 
 Cases span the three regimes the certificate must cover: a benign
 nested containment through the full engine (patterns, witness
@@ -23,7 +17,6 @@ where the bound is astronomically loose but must still dominate.
 import pytest
 
 from repro.analysis.interp import cost_certificate, pair_certificate
-from repro.cq.homomorphism import ORDERINGS, use_ordering
 from repro.cq.terms import Atom, Var
 from repro.engine import ContainmentEngine
 from repro.grouping import GroupingNode, GroupingQuery, is_simulated
@@ -143,49 +136,6 @@ def test_certificate_sound_on_simulation(benchmark, case, search_effort):
         case=case,
         verdict=verdict,
         predicted_nodes=certificate.total_bound,
-    )
-    record_effort(benchmark, effort)
-
-
-# -- payoff: ordering="cost" vs the fixed orderings --------------------
-
-
-ORDERING_SUITES = {
-    "reflexive": lambda: (
-        chain_grouping_query(3),
-        chain_grouping_query(3).rename_apart("_p"),
-        None,
-        True,
-    ),
-    "adversary": lambda: (
-        padded_clique_grouping(5, 2, "k5"),
-        padded_clique_grouping(6, 2, "k6"),
-        1,
-        False,
-    ),
-}
-
-
-@pytest.mark.parametrize("ordering", list(ORDERINGS))
-@pytest.mark.parametrize("suite", sorted(ORDERING_SUITES))
-def test_cost_ordering_competitive(benchmark, suite, ordering, search_effort):
-    """E15 — every ordering on every suite; the regression gate compares
-    the ``cost`` row's median against the best fixed ordering's."""
-    sub, sup, witnesses, expected = ORDERING_SUITES[suite]()
-
-    def run():
-        with use_ordering(ordering):
-            return is_simulated(sub, sup, witnesses=witnesses)
-
-    verdict, effort = search_effort(run)
-    benchmark(run)
-    assert verdict is expected
-    record(
-        benchmark,
-        experiment="E15",
-        suite=suite,
-        ordering=ordering,
-        verdict=verdict,
     )
     record_effort(benchmark, effort)
 

@@ -2,23 +2,17 @@
 
 The paper positions simulation as "more complex than containment of
 conjunctive queries"; this module measures the baseline so E3/E4 have a
-reference curve.  Also ablates the homomorphism-search atom ordering
-(E11: the constraint-propagating engine vs the legacy
-most-constrained-first and static strategies), one of the design
-choices DESIGN.md calls out, on both a chain folding and the padded
-pigeonhole adversary where component decomposition turns a
-multiplicative refutation into an additive one.
+reference curve.  Also runs the homomorphism kernel alone (E11) on a
+chain folding and on the padded pigeonhole adversary, where component
+decomposition turns a multiplicative refutation into an additive one;
+the deterministic node counts are gated against the committed seed.
 """
 
 import pytest
 
 from repro.cq import contains, minimize
 from repro.cq.terms import Var, Const, Atom
-from repro.cq.homomorphism import (
-    ORDERINGS,
-    find_homomorphism,
-    ground_atoms_of_query,
-)
+from repro.cq.homomorphism import find_homomorphism, ground_atoms_of_query
 from repro.workloads import chain_query, star_query, random_cq
 
 from conftest import record, record_effort
@@ -62,21 +56,19 @@ def test_random_containment(benchmark, atoms):
     record(benchmark, experiment="E9", atoms=atoms, positives=positives)
 
 
-@pytest.mark.parametrize("ordering", list(ORDERINGS))
-def test_ordering_ablation(benchmark, ordering, search_effort):
-    """Propagating vs most-constrained-first vs static on a chain
-    folding."""
+def test_chain_folding(benchmark, search_effort):
+    """The 12-chain body into the frozen 6-chain: refuted by
+    propagation before any search node."""
     short = chain_query(6)
     long = chain_query(12)
     target = ground_atoms_of_query(short)
 
     def run():
-        return find_homomorphism(long.body, target, ordering=ordering)
+        return find_homomorphism(long.body, target)
 
     result, effort = search_effort(run)
     benchmark(run)
-    record(benchmark, experiment="E9-ablation", ordering=ordering,
-           found=result is not None)
+    record(benchmark, experiment="E9", found=result is not None)
     record_effort(benchmark, effort)
 
 
@@ -85,8 +77,8 @@ def padded_pigeonhole(n, rays, leaves):
 
     The clique component is pigeonhole-refuted; a search that does not
     decompose components re-proves the refutation once per padding
-    assignment (``leaves`` choices per ray), the propagating search
-    refutes it exactly once (E11's adversarial family).
+    assignment (``leaves`` choices per ray), the kernel refutes it
+    exactly once (E11's adversarial family).
     """
     source = tuple(
         Atom("e", (Var("V%d" % i), Var("V%d" % j)))
@@ -107,18 +99,17 @@ def padded_pigeonhole(n, rays, leaves):
     return source, target
 
 
-@pytest.mark.parametrize("ordering", list(ORDERINGS))
-def test_pigeonhole_adversary(benchmark, ordering, search_effort):
-    """E11 — the padded pigeonhole refutation across strategies."""
+def test_pigeonhole_adversary(benchmark, search_effort):
+    """E11 — the padded pigeonhole refutation."""
     source, target = padded_pigeonhole(5, 2, 4)
 
     def run():
-        return find_homomorphism(source, target, ordering=ordering)
+        return find_homomorphism(source, target)
 
     result, effort = search_effort(run)
     benchmark(run)
-    record(benchmark, experiment="E11", ordering=ordering, n=5, rays=2,
-           leaves=4, found=result is not None)
+    record(benchmark, experiment="E11", n=5, rays=2, leaves=4,
+           found=result is not None)
     record_effort(benchmark, effort)
     assert result is None
 

@@ -48,13 +48,6 @@ file is loaded and rows are joined by ``fullname``.  Two comparisons:
   ``predicted >= actual``; a violation is a **failure** regardless of
   ``--strict-time`` — the bound is mathematical, an unsound one is a
   bug in the abstract interpreter, not noise.
-* **cost-ordering competitiveness** — fresh rows tagged with both
-  ``suite`` and ``ordering`` are grouped per suite; the ``cost`` row's
-  median wall time must stay within ``--cost-margin`` (default 10%) of
-  the best *fixed* ordering's median, with an absolute
-  ``--wall-floor-ms`` grace (default 1ms) so sub-millisecond suites
-  don't fail on scheduler jitter.  Compared within the fresh run only,
-  so machine speed cancels; a violation is a **failure**.
 * **union short-circuit** — a fresh row recording both ``union_width``
   and ``branches_decided`` with ``contained`` true (the ucq benchmark's
   width sweep, built so the first sup branch covers every sub branch)
@@ -67,13 +60,6 @@ file is loaded and rows are joined by ``fullname``.  Two comparisons:
   must keep it positive; zero is a **failure** regardless of
   ``--strict-time``, because the replay is deterministic — it means the
   content-addressed chase memoization silently recomputes saturations.
-* **bitset kernel speedup** — on every *adversary* suite (a ``suite``
-  tag containing ``"adversary"``), the ``bitset`` ordering's median
-  wall time must be at least ``--bitset-speedup`` (default 2.0) times
-  faster than the ``propagating`` ordering's median, again with the
-  ``--wall-floor-ms`` absolute grace.  Like the cost gate this is
-  intra-run, so machine speed cancels; a violation is a **failure** —
-  it means the compiled mask kernel lost its reason to be the default.
 
 Rows present only on one side are reported (new benchmarks are fine;
 vanished ones are a failure, they usually mean a silently skipped
@@ -179,35 +165,6 @@ def check_certificate_soundness(fresh_rows):
     return failures
 
 
-def check_cost_ordering(fresh_rows, cost_margin, wall_floor_s):
-    """The ``cost`` ordering's median vs the best fixed ordering, per
-    suite, within one fresh run."""
-    failures = []
-    by_suite = {}
-    for fresh in fresh_rows.values():
-        extra = fresh.get("extra", {})
-        suite = extra.get("suite")
-        ordering = extra.get("ordering")
-        median = fresh.get("stats", {}).get("median")
-        if suite and ordering and median:
-            by_suite.setdefault(suite, {})[ordering] = median
-    for suite, medians in sorted(by_suite.items()):
-        cost = medians.get("cost")
-        fixed = [t for o, t in medians.items() if o != "cost"]
-        if cost is None or not fixed:
-            continue
-        best = min(fixed)
-        limit = max(best * (1.0 + cost_margin), best + wall_floor_s)
-        if cost > limit:
-            failures.append(
-                "suite %s: cost-ordering median %.4fms exceeds the best "
-                "fixed ordering's %.4fms by more than %d%% (+%.2fms floor)"
-                % (suite, cost * 1000.0, best * 1000.0,
-                   int(cost_margin * 100), wall_floor_s * 1000.0)
-            )
-    return failures
-
-
 def check_union_short_circuit(fresh_rows):
     """``branches_decided <= union_width`` on contained union rows."""
     failures = []
@@ -242,35 +199,6 @@ def check_chase_hit_rate(fresh_rows):
     return failures
 
 
-def check_bitset_speedup(fresh_rows, min_ratio, wall_floor_s):
-    """The bitset kernel's median vs the propagating kernel's, per
-    adversary suite, within one fresh run."""
-    failures = []
-    by_suite = {}
-    for fresh in fresh_rows.values():
-        extra = fresh.get("extra", {})
-        suite = extra.get("suite")
-        ordering = extra.get("ordering")
-        median = fresh.get("stats", {}).get("median")
-        if suite and ordering and median and "adversary" in suite:
-            by_suite.setdefault(suite, {})[ordering] = median
-    for suite, medians in sorted(by_suite.items()):
-        bitset = medians.get("bitset")
-        propagating = medians.get("propagating")
-        if bitset is None or propagating is None:
-            continue
-        limit = max(propagating / min_ratio, wall_floor_s)
-        if bitset > limit:
-            failures.append(
-                "suite %s: bitset median %.4fms is not %.1fx faster than "
-                "propagating's %.4fms (limit %.4fms incl. %.2fms floor)"
-                % (suite, bitset * 1000.0, min_ratio,
-                   propagating * 1000.0, limit * 1000.0,
-                   wall_floor_s * 1000.0)
-            )
-    return failures
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="seeds",
@@ -289,18 +217,6 @@ def main(argv=None):
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="minimum acceptable cold/warm ratio for rows "
                              "recording one (default 2.0)")
-    parser.add_argument("--cost-margin", type=float, default=0.10,
-                        help="allowed fractional excess of the cost "
-                             "ordering's median over the best fixed "
-                             "ordering's, per suite (default 0.10)")
-    parser.add_argument("--wall-floor-ms", type=float, default=1.0,
-                        help="absolute grace in milliseconds added to the "
-                             "cost-ordering limit so sub-millisecond "
-                             "suites don't fail on jitter (default 1.0)")
-    parser.add_argument("--bitset-speedup", type=float, default=2.0,
-                        help="minimum median wall-time ratio of the "
-                             "propagating ordering over the bitset "
-                             "ordering on adversary suites (default 2.0)")
     options = parser.parse_args(argv)
 
     seed_files = sorted(
@@ -329,14 +245,6 @@ def main(argv=None):
             options.min_speedup,
         )
         failures.extend(check_certificate_soundness(fresh_rows))
-        failures.extend(check_cost_ordering(
-            fresh_rows, options.cost_margin,
-            options.wall_floor_ms / 1000.0,
-        ))
-        failures.extend(check_bitset_speedup(
-            fresh_rows, options.bitset_speedup,
-            options.wall_floor_ms / 1000.0,
-        ))
         failures.extend(check_union_short_circuit(fresh_rows))
         failures.extend(check_chase_hit_rate(fresh_rows))
         for message in warnings:

@@ -31,8 +31,7 @@ a warning).
 
 COQL008–011 are powered by the abstract interpreter of
 :mod:`repro.analysis.interp`, which also produces the
-:class:`CostCertificate` behind ``repro analyze`` and the
-``ordering="cost"`` search strategy.
+:class:`CostCertificate` behind ``repro analyze``.
 
 Entry points: :func:`analyze` for queries, :func:`analyze_truncation`
 for truncation patterns; :func:`cost_certificate` /

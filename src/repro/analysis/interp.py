@@ -65,7 +65,6 @@ from repro.coql.ast import (
     Singleton,
     VarRef,
 )
-from repro.cq.propagation import component_cost_estimate, component_strategy
 from repro.cq.terms import Var
 
 __all__ = [
@@ -589,8 +588,8 @@ def component_node_bound(row_counts: Sequence[int]) -> int:
     candidate rows counts one node per *distinct consistent partial
     assignment* it reaches, and reaches each at most once; there are at
     most ``prod(1 + c_i) - 1`` non-empty ones (each atom contributes
-    "absent" or one of its rows).  Holds for every ordering strategy —
-    forward checking and AC-3 only remove nodes.
+    "absent" or one of its rows).  Forward checking and AC-3 only
+    remove nodes.
     """
     product = 1
     for count in row_counts:
@@ -620,26 +619,18 @@ def target_row_bounds(sub: Any, witnesses: int) -> Dict[Tuple[str, int], int]:
 
 @dataclass(frozen=True)
 class ComponentBound:
-    """Per-component certificate entry.
-
-    ``node_bound`` is the sound bound; ``estimate`` and ``strategy``
-    are the same quantities ``ordering="cost"`` computes at runtime
-    (over actual candidate counts, which these row bounds dominate).
-    """
+    """Per-component certificate entry; ``node_bound`` is the sound
+    bound over the component's candidate-row counts."""
 
     atoms: int
     row_counts: Tuple[int, ...]
     node_bound: int
-    estimate: int
-    strategy: str
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "atoms": self.atoms,
             "row_counts": list(self.row_counts),
             "node_bound": _json_bound(self.node_bound),
-            "estimate": _json_bound(self.estimate),
-            "strategy": self.strategy,
         }
 
 
@@ -703,8 +694,6 @@ def component_bounds(
                 atoms=len(component),
                 row_counts=counts,
                 node_bound=component_node_bound(counts),
-                estimate=int(component_cost_estimate(sorted(counts))),
-                strategy=str(component_strategy(counts)),
             )
         )
     return tuple(out)
@@ -761,10 +750,6 @@ class CostCertificate:
     fanout: Tuple[Tuple[str, Bound], ...] = ()
     output_cardinality: Optional[Tuple[int, Bound]] = None
     facts: Optional[QueryFacts] = field(default=None, compare=False)
-
-    @property
-    def recommended_orderings(self) -> Tuple[str, ...]:
-        return tuple(c.strategy for c in self.components)
 
     def as_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -823,13 +808,12 @@ class CostCertificate:
         )
         for position, comp in enumerate(self.components):
             lines.append(
-                "    #%d: %d atom(s), rows %s -> bound %s, strategy %s"
+                "    #%d: %d atom(s), rows %s -> bound %s"
                 % (
                     position + 1,
                     comp.atoms,
                     list(comp.row_counts),
                     format_bound(comp.node_bound),
-                    comp.strategy,
                 )
             )
         lines.append("  search-node bound: %s" % format_bound(self.search_bound))

@@ -36,9 +36,7 @@ Exit codes, uniform across the decision subcommands (see docs/API.md):
 * **1** — negative verdict: not contained / not equivalent / an
   undecided or incomparable matrix cell / error-severity lint findings;
 * **2** — usage error: bad flags, bad schema, a query that does not
-  parse (``lint`` reports parse errors as COQL000 findings instead).
-  An unknown ``--ordering`` value is a usage error: argparse rejects
-  anything outside ``repro.cq.propagation.ORDERINGS`` and exits 2;
+  parse (``lint`` reports parse errors as COQL000 findings instead);
 * **3** — UNDECIDED: a ``contain --timeout-s`` check timed out.
 """
 
@@ -120,15 +118,6 @@ def _write_trace(engine, path):
     print("trace written to %s" % path, file=sys.stderr)
 
 
-def _ordering_context(ordering):
-    """``use_ordering(ordering)``, or a no-op context for None."""
-    from contextlib import nullcontext
-
-    from repro.cq.propagation import use_ordering
-
-    return use_ordering(ordering) if ordering else nullcontext()
-
-
 def _cmd_contain(args):
     from repro.engine import UNDECIDED, ContainmentEngine, ParallelContainmentEngine
 
@@ -137,8 +126,7 @@ def _cmd_contain(args):
     if args.jobs is not None or args.timeout_s is not None:
         engine = ParallelContainmentEngine(
             jobs=args.jobs, timeout_s=args.timeout_s, method=args.method,
-            store_path=args.store_path, ordering=args.ordering,
-            constraints=constraints,
+            store_path=args.store_path, constraints=constraints,
         )
         with engine:
             verdict = engine.contains(args.sup, args.sub, schema)
@@ -146,10 +134,7 @@ def _cmd_contain(args):
         engine = ContainmentEngine(
             store_path=args.store_path, constraints=constraints
         )
-        with _ordering_context(args.ordering):
-            verdict = engine.contains(
-                args.sup, args.sub, schema, method=args.method
-            )
+        verdict = engine.contains(args.sup, args.sub, schema, method=args.method)
         store = engine.store()
         if hasattr(store, "flush"):
             store.flush()
@@ -175,7 +160,7 @@ def _cmd_matrix(args):
     schema = _parse_schema(args.schema)
     engine = ParallelContainmentEngine(
         jobs=args.jobs, timeout_s=args.timeout_s, method=args.method,
-        ordering=args.ordering, constraints=_load_constraints(args.constraints),
+        constraints=_load_constraints(args.constraints),
     )
     with engine:
         matrix = engine.pairwise_matrix(args.queries, schema)
@@ -387,11 +372,10 @@ def _cmd_analyze(args):
                 "no schema for %r: pass --schema or a '# schema: ...' "
                 "directive" % (target,)
             )
-        with _ordering_context(args.ordering):
-            certificate = engine.cost_certificate(
-                query, schema, against=args.against, witnesses=args.witnesses,
-                stats=stats,
-            )
+        certificate = engine.cost_certificate(
+            query, schema, against=args.against, witnesses=args.witnesses,
+            stats=stats,
+        )
         if args.budget is not None and certificate.total_bound > args.budget:
             over_budget += 1
         reports.append((target, certificate))
@@ -553,15 +537,6 @@ def _add_constraints_flag(p):
                         "simulation search")
 
 
-def _add_ordering_flag(p):
-    from repro.cq.propagation import ORDERINGS
-
-    p.add_argument("--ordering", choices=ORDERINGS, default=None,
-                   help="homomorphism-search kernel for every check "
-                        "(default: the engine default, bitset); values "
-                        "outside the choices are a usage error (exit 2)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -594,7 +569,6 @@ def build_parser():
                    metavar="FILE",
                    help="SQLite artifact store: reuse cached pipeline "
                         "artifacts across runs and persist new ones")
-    _add_ordering_flag(p)
     _add_constraints_flag(p)
     p.add_argument("sup", help="the containing query")
     p.add_argument("sub", help="the contained query")
@@ -617,7 +591,6 @@ def build_parser():
                    metavar="FILE",
                    help="write the per-stage trace (locally decided "
                         "checks only) as Chrome trace_event JSON")
-    _add_ordering_flag(p)
     _add_constraints_flag(p)
     p.add_argument("queries", nargs="+", help="two or more COQL queries")
     p.set_defaults(func=_cmd_matrix)
@@ -673,7 +646,7 @@ def build_parser():
     p = sub.add_parser(
         "analyze",
         help="abstract-interpretation cost certificates: sound search "
-             "bounds, fan-out/cardinality facts, ordering plan",
+             "bounds, fan-out/cardinality facts",
     )
     p.add_argument("--schema", default=None,
                    help="schema for targets without a '# schema:' directive")
@@ -698,7 +671,6 @@ def build_parser():
                    metavar="FILE",
                    help="write the per-stage trace as Chrome trace_event "
                         "JSON")
-    _add_ordering_flag(p)
     p.add_argument("targets", nargs="+", metavar="QUERY_OR_FILE",
                    help="COQL query text, or a .coql file (# comments; "
                         "'# schema: r:a,b' directive)")

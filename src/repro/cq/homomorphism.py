@@ -10,47 +10,26 @@ simulation certificates of ``repro.grouping``, where index variables may
 only map to witness-copy values).
 
 The search is NP-complete in general (the paper leans on this for its
-hardness results).  Five atom-selection strategies are available via
-``ordering=``:
+hardness results).  It runs on the constraint-propagation engine of
+:mod:`repro.cq.propagation`: candidate sets are integer bitmasks,
+variable domains are narrowed by an AC-3 pass, each assignment is
+forward-checked, and independent components are solved separately.
 
-* ``"bitset"`` (the default) — the constraint-propagation engine of
-  :mod:`repro.cq.propagation` on its bitset kernel: candidate sets are
-  integer bitmasks (``&`` intersection, cached ``.bit_count()``
-  cardinality), each source atom gets a generated matcher closure, and
-  forward checking is mask intersection;
-* ``"propagating"`` — the same search over list candidate sets and the
-  frozenset inverted index (the previous default, kept as the bitset
-  kernel's differential twin: identical search tree, identical
-  enumeration order);
-* ``"adaptive"`` — most-constrained-atom-first with per-node candidate
-  rescans (ablation baseline);
-* ``"static"`` — source order (ablation baseline);
-* ``"cost"`` — the cost-model hybrid: per connected component, plain
-  mask backtracking when the estimated work is tiny (the CSP overhead
-  would dominate), the full bitset machinery otherwise — the runtime
-  side of the :class:`repro.analysis.interp.CostCertificate` plan.
-
-All strategies enumerate the same homomorphism *set*; orders may differ
-between strategies but are deterministic (target rows are deduplicated
-in insertion order, never hash order).  Targets may be given as atoms or
+Enumeration order is deterministic (target rows are deduplicated in
+insertion order, never hash order).  Targets may be given as atoms or
 as a precompiled :class:`repro.cq.propagation.CompiledTarget`, which
 callers deciding many questions against one target should build once
 with :func:`compile_target` (the containment engine caches these per
 simulation target).
 """
 
-from repro.errors import ReproError
-from repro.cq.terms import Var, Const
+from repro.cq.terms import Const
 from repro.cq.propagation import (
     CompiledTarget,
     SearchCounters,
     compile_target,
-    default_ordering,
     install_search_counters,
-    active_counters,
     propagating_search,
-    use_ordering,
-    ORDERINGS,
 )
 
 __all__ = [
@@ -62,9 +41,6 @@ __all__ = [
     "install_search_counters",
     "CompiledTarget",
     "compile_target",
-    "default_ordering",
-    "use_ordering",
-    "ORDERINGS",
 ]
 
 
@@ -80,9 +56,7 @@ def ground_atoms_of_query(query, tag=""):
     return tuple(atom.substitute(mapping) for atom in query.body)
 
 
-def find_homomorphism(
-    source_atoms, target_atoms, fixed=None, allowed=None, ordering=None
-):
+def find_homomorphism(source_atoms, target_atoms, fixed=None, allowed=None):
     """Find one homomorphism, or None.
 
     :param source_atoms: atoms whose variables are to be mapped.
@@ -91,167 +65,44 @@ def find_homomorphism(
     :param fixed: optional ``{Var: value}`` pinning some variables.
     :param allowed: optional ``{Var: set-of-values}`` restricting some
         variables' images (variables not listed are unrestricted).
-    :param ordering: one of :data:`ORDERINGS` — ``"bitset"``,
-        ``"propagating"``, ``"adaptive"``, ``"static"``, or ``"cost"``
-        (None = the process default, normally ``"bitset"``).
     :returns: a complete ``{Var: value}`` mapping or ``None``.
     """
     for mapping in find_all_homomorphisms(
-        source_atoms, target_atoms, fixed=fixed, allowed=allowed,
-        ordering=ordering,
+        source_atoms, target_atoms, fixed=fixed, allowed=allowed
     ):
         return mapping
     return None
 
 
-def count_homomorphisms(
-    source_atoms, target_atoms, fixed=None, allowed=None, ordering=None
-):
-    """The number of distinct homomorphisms.
-
-    *ordering* selects the search strategy exactly as in
-    :func:`find_homomorphism`; every strategy counts the same set.
-    """
+def count_homomorphisms(source_atoms, target_atoms, fixed=None, allowed=None):
+    """The number of distinct homomorphisms."""
     return sum(
         1
         for __ in find_all_homomorphisms(
-            source_atoms, target_atoms, fixed=fixed, allowed=allowed,
-            ordering=ordering,
+            source_atoms, target_atoms, fixed=fixed, allowed=allowed
         )
     )
 
 
-def find_all_homomorphisms(
-    source_atoms, target_atoms, fixed=None, allowed=None, ordering=None
-):
+def find_all_homomorphisms(source_atoms, target_atoms, fixed=None,
+                           allowed=None):
     """Yield every homomorphism (as ``{Var: value}`` dicts).
 
     Variables that occur in no source atom are not assigned; callers that
     pin such variables should include them in *fixed* (they are then
     echoed in the result).
 
-    *ordering* selects the atom-selection strategy: ``"bitset"`` (the
-    constraint-propagating search on mask candidate sets, the default),
-    ``"propagating"`` (the same search on lists), ``"cost"`` (the
-    per-component hybrid), ``"adaptive"`` (most-constrained-first), or
-    ``"static"`` (source order) — the legacy strategies are kept for
-    the ablation benchmarks.  Enumeration order is deterministic for
-    each strategy (and identical between ``"bitset"`` and
-    ``"propagating"``): target rows are deduplicated in insertion
-    order, never hash order, and the bitset kernel walks set bits in
-    ascending row-id order.
+    Enumeration order is deterministic: target rows are deduplicated in
+    insertion order, never hash order, and the kernel walks candidate
+    rows in ascending row-id order.
     """
     source_atoms = tuple(source_atoms)
     compiled = compile_target(target_atoms)
-    if ordering is None:
-        ordering = default_ordering()
     binding = dict(fixed or {})
     if allowed:
         for var, values in allowed.items():
             if var in binding and binding[var] not in values:
                 return
-    if ordering == "bitset":
-        yield from propagating_search(
-            source_atoms, compiled, binding, allowed or {}, kernel="bitset"
-        )
-    elif ordering == "propagating":
-        yield from propagating_search(
-            source_atoms, compiled, binding, allowed or {}, kernel="list"
-        )
-    elif ordering == "cost":
-        yield from propagating_search(
-            source_atoms, compiled, binding, allowed or {}, cost=True
-        )
-    elif ordering == "adaptive":
-        yield from _search(list(source_atoms), compiled.rows, binding,
-                           allowed or {})
-    elif ordering == "static":
-        yield from _search_static(list(source_atoms), compiled.rows, binding,
-                                  allowed or {})
-    else:
-        raise ReproError("unknown ordering %r" % (ordering,))
-
-
-# -- legacy strategies (ablation baselines) ---------------------------------
-
-
-def _candidate_rows(atom, rows, binding, allowed):
-    out = []
-    for row in rows:
-        extension = _match(atom, row, binding, allowed)
-        if extension is not None:
-            out.append(extension)
-    return out
-
-
-def _match(atom, row, binding, allowed):
-    extension = {}
-    for term, value in zip(atom.args, row):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-            continue
-        bound = binding.get(term, extension.get(term, _UNBOUND))
-        if bound is _UNBOUND:
-            restriction = allowed.get(term)
-            if restriction is not None and value not in restriction:
-                return None
-            extension[term] = value
-        elif bound != value:
-            return None
-    return extension
-
-
-class _Unbound:
-    pass
-
-
-_UNBOUND = _Unbound()
-
-
-def _search_static(remaining, rows_by_key, binding, allowed):
-    counters = active_counters()
-    if not remaining:
-        yield dict(binding)
-        return
-    atom = remaining[0]
-    rows = _candidate_rows(
-        atom, rows_by_key.get((atom.pred, atom.arity), ()), binding, allowed
+    yield from propagating_search(
+        source_atoms, compiled, binding, allowed or {}
     )
-    for extension in rows:
-        if counters is not None:
-            counters.nodes += 1
-        binding.update(extension)
-        yield from _search_static(remaining[1:], rows_by_key, binding, allowed)
-        for var in extension:
-            del binding[var]
-        if counters is not None:
-            counters.backtracks += 1
-
-
-def _search(remaining, rows_by_key, binding, allowed):
-    counters = active_counters()
-    if not remaining:
-        yield dict(binding)
-        return
-    best_index = None
-    best_rows = None
-    for position, atom in enumerate(remaining):
-        rows = _candidate_rows(
-            atom, rows_by_key.get((atom.pred, atom.arity), ()), binding, allowed
-        )
-        if best_rows is None or len(rows) < len(best_rows):
-            best_index, best_rows = position, rows
-            if not rows:
-                return
-    atom = remaining[best_index]
-    rest = remaining[:best_index] + remaining[best_index + 1:]
-    for extension in best_rows:
-        if counters is not None:
-            counters.nodes += 1
-        binding.update(extension)
-        yield from _search(rest, rows_by_key, binding, allowed)
-        for var in extension:
-            del binding[var]
-        if counters is not None:
-            counters.backtracks += 1

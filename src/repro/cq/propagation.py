@@ -4,35 +4,30 @@ Every decision procedure in this library — Chandra–Merlin containment,
 the Theorem 4.1 simulation certificate, strong simulation, and the
 weak-equivalence truncation sweep — bottoms out in the homomorphism
 search of :mod:`repro.cq.homomorphism`, the NP-complete kernel the paper
-leans on for its hardness results (Theorem 5.1).  This module is the
-engine behind the default ``ordering="bitset"`` strategy and its
-list-based twin ``ordering="propagating"``; the legacy strategies
-(``"adaptive"``, ``"static"``) live in :mod:`repro.cq.homomorphism` as
-ablation baselines.
-
-The propagating search replaces the legacy per-node rescans with
-classic CSP machinery:
+leans on for its hardness results (Theorem 5.1).  This module is that
+search: one kernel, classic CSP machinery over a vectorized
+representation.
 
 * **Compiled targets** — :func:`compile_target` turns ground target
   atoms into a :class:`CompiledTarget`: deduplicated rows in insertion
-  order (so enumeration is deterministic, independent of hash seeds),
-  a per-``(pred, position, value)`` inverted index, and the same index
-  as **integer bitmasks** over row ids (bit ``i`` set ⇔ row ``i``
-  carries the value), so candidate rows are fetched by lookup instead
-  of scanning.  Compiled targets are reusable and cacheable — every
-  search entry point accepts one in place of raw atoms, and the
-  engine's target cache amortizes mask construction along with the
-  rest of the compile.
+  order (so enumeration is deterministic, independent of hash seeds)
+  and a per-``(pred, position, value)`` inverted index held as
+  **integer bitmasks** over row ids (bit ``i`` set ⇔ row ``i`` carries
+  the value), so candidate rows are fetched by lookup instead of
+  scanning.  Compiled targets are reusable and cacheable — every search
+  entry point accepts one in place of raw atoms, and the engine's
+  target cache amortizes mask construction along with the rest of the
+  compile.
 * **Variable domains + AC-3 preprocessing** — every unbound variable
   starts with the intersection, over its occurrences, of the values
   seen at that column (further cut by the caller's ``allowed`` sets);
-  an optional arc-consistency pass (in the style of AC-3, here
+  an arc-consistency pass (in the style of AC-3, here
   generalized-arc-consistency over whole atoms) narrows domains to
   values supported by some candidate row of every atom.  An empty
   domain refutes the instance with **no search tree at all**.
 * **Forward checking** — each assignment prunes the candidate sets
-  of the still-unsolved atoms that share a just-bound variable, via the
-  inverted index; a pruned-to-empty set (a *domain wipeout*) backtracks
+  of the still-unsolved atoms that share a just-bound variable by mask
+  intersection; a pruned-to-empty set (a *domain wipeout*) backtracks
   immediately instead of rediscovering the conflict atoms later.
 * **Component decomposition** — after ``fixed``/constant substitution
   the source atoms split into connected components (atoms linked by
@@ -42,33 +37,24 @@ classic CSP machinery:
   a join of independent subqueries is decided componentwise —
   multiplicative search cost becomes additive.
 
-The **bitset kernel** (``ordering="bitset"``, the default) runs the
-same search over a vectorized representation: candidate sets are
-arbitrary-precision Python ints (intersection is ``&``, emptiness is
-``== 0``, cardinality is a cached ``.bit_count()``), trail entries are
-``(position, old mask, old count)`` tuples, and each source atom gets a
-:class:`_AtomPlan` with a **generated matcher closure** that fuses its
-constant-position checks and repeated-variable equalities into
-straight-line code — no per-row ``isinstance``/``zip`` interpretation.
-Row enumeration walks set bits in ascending row-id order, which is
-exactly insertion order, so the bitset kernel enumerates the identical
-homomorphism sequence as ``ordering="propagating"`` and visits the
-identical search tree (the differential suite in
-``tests/test_bitset_kernel.py`` pins this).  ``ordering="cost"``
-chooses per component, from :func:`component_cost_estimate`, between
-plain mask backtracking (``"simple"``) and the full bitset machinery
-(``"bitset"``).
+Candidate sets are arbitrary-precision Python ints (intersection is
+``&``, emptiness is ``== 0``, cardinality is a cached
+``.bit_count()``), trail entries are ``(position, old mask, old
+count)`` tuples, and each source atom gets an :class:`_AtomPlan` with a
+**generated matcher closure** that fuses its constant-position checks
+and repeated-variable equalities into straight-line code — no per-row
+``isinstance``/``zip`` interpretation.  Row enumeration walks set bits
+in ascending row-id order, which is exactly insertion order.  The
+naive source-order backtracker in ``tests/naive_homomorphism.py`` is
+the independent oracle this kernel is differentially tested against.
 
 Search effort is reported through :class:`SearchCounters` (installed
 process-wide with :func:`install_search_counters`): ``nodes`` and
-``backtracks`` as before, ``domain_wipeouts`` (refutations by
-propagation), ``components_solved`` (independent component searches),
-``mask_intersections`` (bitmask ``&`` operations on the bitset hot
-path), and ``kernel_selected`` (components solved by the bitset
-forward-checking kernel).
+``backtracks``, ``domain_wipeouts`` (refutations by propagation),
+``components_solved`` (independent component searches), and
+``mask_intersections`` (bitmask ``&`` operations on the hot path).
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 from repro.errors import ReproError
@@ -80,54 +66,7 @@ __all__ = [
     "SearchCounters",
     "install_search_counters",
     "propagating_search",
-    "default_ordering",
-    "use_ordering",
-    "ORDERINGS",
-    "component_cost_estimate",
-    "component_strategy",
-    "COST_SIMPLE_THRESHOLD",
 ]
-
-#: The recognized atom-selection strategies, in default-first order.
-#: ``"bitset"`` (the default) and ``"propagating"`` run the same
-#: constraint-propagating search over bitmask and list candidate sets
-#: respectively — identical search tree, identical enumeration order.
-#: ``"cost"`` is the cost-model-driven hybrid: it decides *per connected
-#: component* (from the compiled candidate counts, the same quantities
-#: the static :class:`repro.analysis.interp.CostCertificate` bounds)
-#: whether the CSP machinery is worth its overhead, running tiny
-#: components with plain backtracking and large ones with the full
-#: bitset engine.
-ORDERINGS = ("bitset", "propagating", "adaptive", "static", "cost")
-
-_DEFAULT_ORDERING = "bitset"
-
-
-def default_ordering():
-    """The process-wide default ordering strategy (``"bitset"``)."""
-    return _DEFAULT_ORDERING
-
-
-@contextmanager
-def use_ordering(ordering):
-    """Temporarily switch the process-wide default ordering strategy.
-
-    Used by the ablation benchmarks to run whole decision procedures
-    (which do not thread ``ordering=`` through every layer) under a
-    legacy strategy::
-
-        with use_ordering("adaptive"):
-            is_simulated(sub, sup)
-    """
-    global _DEFAULT_ORDERING
-    if ordering not in ORDERINGS:
-        raise ReproError("unknown ordering %r" % (ordering,))
-    previous = _DEFAULT_ORDERING
-    _DEFAULT_ORDERING = ordering
-    try:
-        yield
-    finally:
-        _DEFAULT_ORDERING = previous
 
 
 @dataclass(slots=True)
@@ -140,11 +79,7 @@ class SearchCounters:
     empty variable domain before search, or a candidate set pruned to
     empty by forward checking); ``components_solved`` counts independent
     connected-component searches; ``mask_intersections`` counts bitmask
-    ``&`` operations performed by the bitset kernel (zero under the
-    list-based strategies); ``kernel_selected`` counts components
-    solved by the bitset forward-checking kernel (every component under
-    ``ordering="bitset"``, the cost model's picks under
-    ``ordering="cost"``).  Install an instance with
+    ``&`` operations performed by the kernel.  Install an instance with
     :func:`install_search_counters` to have every search in the process
     report into it; the :class:`repro.engine.core.ContainmentEngine`
     does this around each decision.
@@ -160,7 +95,6 @@ class SearchCounters:
     domain_wipeouts: int = 0
     components_solved: int = 0
     mask_intersections: int = 0
-    kernel_selected: int = 0
 
     def reset(self):
         """Zero every counter field."""
@@ -210,70 +144,22 @@ _UNBOUND = _Unbound()
 _EMPTY = frozenset()
 
 
-# -- the per-component cost model -------------------------------------------
-
-#: Estimated-work threshold below which a component is solved by plain
-#: backtracking instead of forward checking.  Forward checking touches
-#: the inverted index once per (extension, remaining atom) pair; when the
-#: whole component's optimistic search tree is this small, the pruning
-#: bookkeeping costs more than the nodes it could save.
-COST_SIMPLE_THRESHOLD = 64
-
-
-def component_cost_estimate(candidate_counts):
-    """The optimistic work estimate of one component: the sum of prefix
-    products of its candidate-row counts, smallest lists first.
-
-    This models a best-case most-constrained-first search tree (level k
-    holds at most the product of the k smallest candidate lists).  It is
-    an *estimate* for strategy selection, not a sound bound — the sound
-    per-component node bound (``prod(1 + c_i) - 1``, every consistent
-    partial assignment counted once) lives in
-    :func:`repro.analysis.interp.component_node_bound` and is what the
-    :class:`~repro.analysis.interp.CostCertificate` certifies.
-    """
-    total = 0
-    product = 1
-    for count in sorted(candidate_counts):
-        product *= count
-        total += product
-    return total
-
-
-def component_strategy(candidate_counts):
-    """``"simple"`` or ``"bitset"`` for one component's candidates.
-
-    The decision rule behind ``ordering="cost"`` — shared with the
-    static analyzer, whose :class:`~repro.analysis.interp.CostCertificate`
-    records the same per-component recommendation, so the certificate
-    and the runtime search can never disagree about the plan.
-    ``"simple"`` is plain mask backtracking (no forward checking);
-    ``"bitset"`` is the full forward-checking bitset kernel.
-    """
-    if component_cost_estimate(candidate_counts) <= COST_SIMPLE_THRESHOLD:
-        return "simple"
-    return "bitset"
-
-
 class CompiledTarget:
     """Ground target atoms compiled for constraint-propagating search.
 
     Attributes:
         atoms: the original ground atoms, as given.
         rows: ``{(pred, arity): tuple of value rows}`` — deduplicated in
-            first-occurrence order, so every search strategy enumerates
-            rows (and therefore homomorphisms) in a deterministic,
+            first-occurrence order, so the search enumerates rows (and
+            therefore homomorphisms) in a deterministic,
             hash-seed-independent order.
-        index: ``{(pred, arity): per-position ({value: frozenset of row
-            positions})}`` — the inverted index the list-based
-            ``"propagating"`` strategy prunes with.
         domains: ``{(pred, arity): per-position frozenset of values}`` —
             the column value sets that seed variable domains.
         masks: ``{(pred, arity): per-position ({value: int bitmask})}``
             — the inverted index as arbitrary-precision integer
             bitmasks over row ids (bit ``i`` set ⇔ ``rows[key][i]``
-            carries the value at that position); the bitset kernel's
-            hot-path representation.
+            carries the value at that position); the kernel's hot-path
+            representation.
         full_masks: ``{(pred, arity): int}`` — the all-rows mask
             ``(1 << len(rows[key])) - 1`` per predicate.
 
@@ -283,12 +169,11 @@ class CompiledTarget:
     hits amortize mask construction too).
     """
 
-    __slots__ = ("atoms", "rows", "index", "domains", "masks", "full_masks")
+    __slots__ = ("atoms", "rows", "domains", "masks", "full_masks")
 
-    def __init__(self, atoms, rows, index, domains, masks, full_masks):
+    def __init__(self, atoms, rows, domains, masks, full_masks):
         self.atoms = atoms
         self.rows = rows
-        self.index = index
         self.domains = domains
         self.masks = masks
         self.full_masks = full_masks
@@ -322,7 +207,6 @@ def compile_target(target_atoms):
             tuple(term.value for term in atom.args)
         ] = None
     rows = {key: tuple(seen) for key, seen in deduped.items()}
-    index = {}
     domains = {}
     masks = {}
     full_masks = {}
@@ -331,10 +215,6 @@ def compile_target(target_atoms):
         for row_id, row in enumerate(key_rows):
             for position, value in enumerate(row):
                 per_position[position].setdefault(value, set()).add(row_id)
-        index[key] = tuple(
-            {value: frozenset(ids) for value, ids in column.items()}
-            for column in per_position
-        )
         domains[key] = tuple(frozenset(column) for column in per_position)
         masks[key] = tuple(
             {
@@ -344,7 +224,7 @@ def compile_target(target_atoms):
             for column in per_position
         )
         full_masks[key] = (1 << len(key_rows)) - 1
-    return CompiledTarget(atoms, rows, index, domains, masks, full_masks)
+    return CompiledTarget(atoms, rows, domains, masks, full_masks)
 
 
 def _ids_to_mask(row_ids):
@@ -354,59 +234,18 @@ def _ids_to_mask(row_ids):
     return mask
 
 
-def _row_feasible(atom, row, binding, domains):
-    """Can *row* extend *binding* with every new value inside its domain?"""
-    local = {}
-    for term, value in zip(atom.args, row):
-        if isinstance(term, Const):
-            if term.value != value:
-                return False
-            continue
-        bound = binding.get(term, local.get(term, _UNBOUND))
-        if bound is _UNBOUND:
-            if value not in domains[term]:
-                return False
-            local[term] = value
-        elif bound != value:
-            return False
-    return True
-
-
-def _match_row(atom, row, binding):
-    """The ``{Var: value}`` extension mapping *atom* onto *row*, or None.
-
-    Domain membership is already guaranteed by candidate filtering; this
-    re-checks only binding consistency (shared and repeated variables).
-    """
-    extension = {}
-    for term, value in zip(atom.args, row):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-            continue
-        bound = binding.get(term, extension.get(term, _UNBOUND))
-        if bound is _UNBOUND:
-            extension[term] = value
-        elif bound != value:
-            return None
-    return extension
-
-
-# -- the bitset kernel -------------------------------------------------------
+# -- the kernel ---------------------------------------------------------------
 #
-# The same search as the list-based machinery below, over a vectorized
-# representation: a candidate set is one arbitrary-precision int (bit i
-# set <=> target row i is still viable), and each source atom carries a
-# matcher closure generated once — straight-line code for its constant
-# positions and repeated variables instead of a per-row zip/isinstance
-# interpreter.  Enumeration walks set bits lowest-first, i.e. ascending
-# row id, i.e. target insertion order, so the bitset kernel visits the
-# identical search tree (same variable choices, same row order, same
-# node/backtrack/wipeout counts) as ``ordering="propagating"``.
+# A candidate set is one arbitrary-precision int (bit i set <=> target
+# row i is still viable), and each source atom carries a matcher closure
+# generated once — straight-line code for its constant positions and
+# repeated variables instead of a per-row zip/isinstance interpreter.
+# Enumeration walks set bits lowest-first, i.e. ascending row id, i.e.
+# target insertion order.
 
 
 class _AtomPlan:
-    """One source atom compiled for the bitset kernel.
+    """One source atom compiled for the kernel.
 
     ``const_positions`` is ``((position, value), ...)`` for the atom's
     constant arguments; ``var_positions`` is ``((var, (positions, ...)),
@@ -491,8 +330,7 @@ def _atom_plan(atom):
 def _feasible_mask(plan, columns, start, column_domains, binding, domains):
     """Narrow *start* to the rows the atom can map onto.
 
-    The mask analogue of filtering with :func:`_row_feasible`: a row
-    survives iff every constant position matches, every bound variable's
+    A row survives iff every constant position matches, every bound variable's
     value matches at each occurrence, and every unbound variable finds a
     single in-domain value across all its occurrences.  Returns
     ``(mask, intersections performed)``.
@@ -550,11 +388,11 @@ def _feasible_mask(plan, columns, start, column_domains, binding, domains):
 
 def _ac3_masks(source_atoms, plans, keys, compiled, candidates, counts,
                domains, binding, counters):
-    """Generalized arc consistency over mask candidate sets.
+    """Generalized arc consistency: narrow domains to supported values.
 
-    The mask twin of :func:`_ac3`: identical revision order, identical
-    narrowing, identical fixpoint — only the candidate representation
-    differs.  Returns False on a domain wipeout.
+    Iterates atom-wise revisions to a fixpoint; *candidates*, *counts*
+    and *domains* are narrowed in place.  Returns False on a domain
+    wipeout (the instance has no homomorphism).
     """
     intersections = 0
     changed = True
@@ -644,12 +482,14 @@ def _forward_check_masks(extension, rest, plans, keys, compiled, candidates,
 
 def _solve_component_masks(order, plans, keys, compiled, candidates, counts,
                            binding, counters):
-    """The bitset kernel's per-component search (forward checking).
+    """Yield every assignment of one component's unbound variables.
 
-    *candidates* and *counts* are ``{atom position: mask}`` /
-    ``{atom position: cardinality}`` private to this component; the
-    cached cardinalities make the most-constrained-first choice an O(1)
-    dict probe per remaining atom instead of a recount.
+    *candidates*, *counts* (``{atom position: mask}`` / ``{atom
+    position: cardinality}``) and *binding* are private to this
+    component (the caller copies them), so paused generators of sibling
+    components never interfere.  The cached cardinalities, maintained
+    by forward checking and the trail, make the most-constrained-first
+    choice an O(1) dict probe per remaining atom instead of a recount.
     """
 
     def descend(remaining, assigned):
@@ -698,49 +538,6 @@ def _solve_component_masks(order, plans, keys, compiled, candidates, counts,
     yield from descend(list(order), {})
 
 
-def _solve_component_simple_masks(order, plans, keys, compiled, candidates,
-                                  counts, binding, counters):
-    """The ``"cost"`` strategy's mask solver for tiny components.
-
-    Identical search tree shape to :func:`_solve_component_masks` (same
-    most-constrained-first atom choice over the same candidate masks,
-    set bits in ascending row-id order, so the two solvers enumerate
-    the same solutions in the same order) but with no forward checking:
-    below :data:`COST_SIMPLE_THRESHOLD` the pruning bookkeeping
-    dominates the work it saves.
-    """
-
-    def descend(remaining, assigned):
-        if not remaining:
-            yield dict(assigned)
-            return
-        best = min(remaining, key=lambda p: (counts[p], p))
-        mask = candidates[best]
-        if not mask:
-            return
-        rest = [p for p in remaining if p != best]
-        match = plans[best].match
-        rows = compiled.rows[keys[best]]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            extension = match(rows[low.bit_length() - 1], binding)
-            if extension is None:
-                continue
-            if counters is not None:
-                counters.nodes += 1
-            binding.update(extension)
-            assigned.update(extension)
-            yield from descend(rest, assigned)
-            for var in extension:
-                del binding[var]
-                del assigned[var]
-            if counters is not None:
-                counters.backtracks += 1
-
-    yield from descend(list(order), {})
-
-
 def _initial_domains(source_atoms, keys, compiled, binding, allowed):
     """Seed per-variable domains from column values and ``allowed``."""
     domains = {}
@@ -760,44 +557,6 @@ def _initial_domains(source_atoms, keys, compiled, binding, allowed):
                     else values & frozenset(restriction)
                 )
     return domains
-
-
-def _ac3(source_atoms, keys, compiled, candidates, domains, binding, counters):
-    """Generalized arc consistency: narrow domains to supported values.
-
-    Iterates atom-wise revisions to a fixpoint.  Returns False on a
-    domain wipeout (the instance has no homomorphism); *candidates* and
-    *domains* are narrowed in place.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for position_in_source, atom in enumerate(source_atoms):
-            rows = compiled.rows.get(keys[position_in_source], ())
-            kept = [
-                row_id
-                for row_id in candidates[position_in_source]
-                if _row_feasible(atom, rows[row_id], binding, domains)
-            ]
-            if not kept:
-                if counters is not None:
-                    counters.domain_wipeouts += 1
-                return False
-            if len(kept) != len(candidates[position_in_source]):
-                candidates[position_in_source] = kept
-            for position, term in enumerate(atom.args):
-                if not isinstance(term, Var) or term in binding:
-                    continue
-                supported = {rows[row_id][position] for row_id in kept}
-                narrowed = domains[term] & supported
-                if len(narrowed) < len(domains[term]):
-                    domains[term] = narrowed
-                    changed = True
-                    if not narrowed:
-                        if counters is not None:
-                            counters.domain_wipeouts += 1
-                        return False
-    return True
 
 
 def _components(source_atoms, binding):
@@ -833,98 +592,6 @@ def _components(source_atoms, binding):
         members.sort()
         components.append(members)
     return components
-
-
-def _forward_check(extension, rest, source_atoms, keys, compiled,
-                   candidates, counts, trail):
-    """Prune candidate lists of *rest* atoms against the new *extension*.
-
-    Pruned lists are pushed onto *trail* as ``(position, old list, old
-    count)`` for restoration on backtrack; *counts* mirrors
-    ``len(candidates[p])`` so the variable-ordering heuristic never
-    recounts.  Returns False on a wipeout (some atom lost every
-    candidate row).
-    """
-    for position_in_source in rest:
-        atom = source_atoms[position_in_source]
-        inverted = compiled.index.get(keys[position_in_source])
-        required = []
-        for position, term in enumerate(atom.args):
-            if isinstance(term, Var) and term in extension:
-                if inverted is None:
-                    return False
-                required.append(
-                    inverted[position].get(extension[term], _EMPTY)
-                )
-        if not required:
-            continue
-        old = candidates[position_in_source]
-        narrowed = [
-            row_id
-            for row_id in old
-            if all(row_id in rows for rows in required)
-        ]
-        if len(narrowed) != len(old):
-            trail.append(
-                (position_in_source, old, counts[position_in_source])
-            )
-            candidates[position_in_source] = narrowed
-            counts[position_in_source] = len(narrowed)
-            if not narrowed:
-                return False
-    return True
-
-
-def _solve_component(order, source_atoms, keys, compiled, candidates, counts,
-                     binding, counters):
-    """Yield every assignment of one component's unbound variables.
-
-    *candidates*, *counts*, and *binding* are private to this component
-    (the caller copies them), so paused generators of sibling components
-    never interfere.  *counts* caches each candidate list's length,
-    maintained incrementally by :func:`_forward_check` and the trail, so
-    the most-constrained-first ``min`` is a dict probe, not a recount.
-    """
-
-    def descend(remaining, assigned):
-        if not remaining:
-            yield dict(assigned)
-            return
-        best = min(remaining, key=lambda p: (counts[p], p))
-        if not candidates[best]:
-            return
-        rest = [p for p in remaining if p != best]
-        atom = source_atoms[best]
-        rows = compiled.rows[keys[best]]
-        for row_id in candidates[best]:
-            extension = _match_row(atom, rows[row_id], binding)
-            if extension is None:
-                continue
-            if counters is not None:
-                counters.nodes += 1
-            binding.update(extension)
-            assigned.update(extension)
-            trail = []
-            consistent = True
-            if extension and rest:
-                consistent = _forward_check(
-                    extension, rest, source_atoms, keys, compiled,
-                    candidates, counts, trail,
-                )
-            if consistent:
-                yield from descend(rest, assigned)
-            elif counters is not None:
-                counters.domain_wipeouts += 1
-            for pruned_position, old, old_count in trail:
-                candidates[pruned_position] = old
-                counts[pruned_position] = old_count
-            for var in extension:
-                del binding[var]
-                del assigned[var]
-            if counters is not None:
-                counters.backtracks += 1
-
-    yield from descend(list(order), {})
 
 
 class _LazySolutions:
@@ -975,29 +642,18 @@ def _cross(lazies, binding):
     yield from descend(0, dict(binding))
 
 
-def propagating_search(source_atoms, compiled, binding, allowed, ac3=True,
-                       cost=False, kernel=None):
-    """Yield every homomorphism under the propagating strategy.
+def propagating_search(source_atoms, compiled, binding, allowed):
+    """Yield every homomorphism of *source_atoms* into *compiled*.
 
     :param source_atoms: tuple of source atoms.
     :param compiled: a :class:`CompiledTarget`.
     :param binding: the initial ``{Var: value}`` assignment (the
         caller's ``fixed``); echoed in every yielded mapping.
     :param allowed: ``{Var: allowed values}`` restrictions.
-    :param ac3: run the arc-consistency preprocessing fixpoint before
-        search (on by default; turn off to measure its contribution).
-    :param cost: the ``ordering="cost"`` hybrid — choose a solver per
-        connected component via :func:`component_strategy`: plain mask
-        backtracking for components whose estimated work is below
-        :data:`COST_SIMPLE_THRESHOLD`, the full bitset machinery (and
-        the AC-3 pass, run only when some component needs it)
-        otherwise.  Enumerates the same homomorphism set as every other
-        strategy.
-    :param kernel: ``"bitset"`` (the default: mask candidate sets and
-        generated matchers) or ``"list"`` (the list-based machinery,
-        kept as ``ordering="propagating"`` for ablation).  ``cost=True``
-        always runs on masks.  Both kernels visit the identical search
-        tree and enumerate the identical homomorphism sequence.
+
+    Stages: initial domains and feasibility masks, the AC-3 fixpoint,
+    component decomposition, a lazy per-component solve, and the lazy
+    cross product of component solutions.
     """
     counters = _counters
     keys = tuple((atom.pred, atom.arity) for atom in source_atoms)
@@ -1006,62 +662,6 @@ def propagating_search(source_atoms, compiled, binding, allowed, ac3=True,
         if counters is not None:
             counters.domain_wipeouts += 1
         return
-    if kernel is None:
-        kernel = "bitset"
-    if cost or kernel == "bitset":
-        yield from _masked_search(
-            source_atoms, keys, compiled, binding, domains, ac3, cost,
-            counters,
-        )
-        return
-    candidates = []
-    for atom, key in zip(source_atoms, keys):
-        rows = compiled.rows.get(key, ())
-        feasible = [
-            row_id
-            for row_id, row in enumerate(rows)
-            if _row_feasible(atom, row, binding, domains)
-        ]
-        if not feasible:
-            if counters is not None:
-                counters.domain_wipeouts += 1
-            return
-        candidates.append(feasible)
-    components = _components(source_atoms, binding)
-    if ac3 and not _ac3(
-        source_atoms, keys, compiled, candidates, domains, binding, counters
-    ):
-        return
-    lazies = []
-    for order in components:
-        if counters is not None:
-            counters.components_solved += 1
-        generator = _solve_component(
-            order,
-            source_atoms,
-            keys,
-            compiled,
-            {position: list(candidates[position]) for position in order},
-            {position: len(candidates[position]) for position in order},
-            dict(binding),
-            counters,
-        )
-        lazy = _LazySolutions(generator)
-        if lazy.get(0) is None:
-            return
-        lazies.append(lazy)
-    yield from _cross(lazies, binding)
-
-
-def _masked_search(source_atoms, keys, compiled, binding, domains, ac3, cost,
-                   counters):
-    """The bitset kernel's pipeline behind :func:`propagating_search`.
-
-    Same stages as the list pipeline — initial feasibility, optional
-    AC-3, component decomposition, per-component lazy solve, lazy cross
-    product — over mask candidate sets, with the ``cost`` hybrid
-    choosing ``"simple"`` vs ``"bitset"`` per component.
-    """
     plans = tuple(_atom_plan(atom) for atom in source_atoms)
     candidates = []
     counts = []
@@ -1086,32 +686,16 @@ def _masked_search(source_atoms, keys, compiled, binding, domains, ac3, cost,
     if counters is not None:
         counters.mask_intersections += intersections
     components = _components(source_atoms, binding)
-    if cost:
-        strategies = [
-            component_strategy([counts[position] for position in order])
-            for order in components
-        ]
-        run_ac3 = ac3 and any(s == "bitset" for s in strategies)
-    else:
-        strategies = ["bitset"] * len(components)
-        run_ac3 = ac3
-    if run_ac3 and not _ac3_masks(
+    if not _ac3_masks(
         source_atoms, plans, keys, compiled, candidates, counts, domains,
         binding, counters,
     ):
         return
     lazies = []
-    for order, strategy in zip(components, strategies):
+    for order in components:
         if counters is not None:
             counters.components_solved += 1
-            if strategy == "bitset":
-                counters.kernel_selected += 1
-        solve = (
-            _solve_component_simple_masks
-            if strategy == "simple"
-            else _solve_component_masks
-        )
-        generator = solve(
+        generator = _solve_component_masks(
             order,
             plans,
             keys,

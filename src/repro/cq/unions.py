@@ -13,10 +13,9 @@ engine level (:meth:`repro.engine.ContainmentEngine.contains` over
 
 The per-disjunct tests route through
 :meth:`repro.engine.ContainmentEngine.cq_contains`: same verdicts as
-the legacy :func:`repro.cq.containment.contains`, but decided on the
-bitset homomorphism kernel with :class:`SearchCounters`
-instrumentation, memoized under the ``branch_verdict`` artifact kind,
-and accepting an ``ordering=`` strategy override.
+the legacy :func:`repro.cq.containment.contains`, but with
+:class:`SearchCounters` instrumentation and memoized under the
+``branch_verdict`` artifact kind.
 """
 
 from repro.errors import (
@@ -70,16 +69,13 @@ class UnionQuery:
             answer |= evaluate(disjunct, database)
         return answer
 
-    def minimize(self, engine=None, ordering=None):
+    def minimize(self, engine=None):
         """Drop disjuncts contained in other disjuncts.
 
         :param engine: the :class:`repro.engine.ContainmentEngine` to
             decide the pairwise tests on (default: the process-wide
             default engine), so repeated minimization shares its
             ``branch_verdict`` memo table.
-        :param ordering: homomorphism-search ordering for the tests
-            (:data:`repro.cq.propagation.ORDERINGS`); None keeps the
-            ambient default.
         """
         engine = _engine_or_default(engine)
         kept = list(self.disjuncts)
@@ -89,7 +85,7 @@ class UnionQuery:
             for i, candidate in enumerate(kept):
                 rest = kept[:i] + kept[i + 1:]
                 if rest and any(
-                    engine.cq_contains(other, candidate, ordering=ordering)
+                    engine.cq_contains(other, candidate)
                     for other in rest
                 ):
                     kept = rest
@@ -101,7 +97,7 @@ class UnionQuery:
         return "UnionQuery(%s; %d disjuncts)" % (self.name, len(self.disjuncts))
 
 
-def union_contains(sup, sub, engine=None, ordering=None):
+def union_contains(sup, sub, engine=None):
     """``sub ⊑ sup`` for union queries (Sagiv–Yannakakis).
 
     Each disjunct of *sub* must be contained in some disjunct of *sup*.
@@ -119,18 +115,18 @@ def union_contains(sup, sub, engine=None, ordering=None):
     engine = _engine_or_default(engine)
     return all(
         any(
-            engine.cq_contains(candidate, disjunct, ordering=ordering)
+            engine.cq_contains(candidate, disjunct)
             for candidate in sup.disjuncts
         )
         for disjunct in sub.disjuncts
     )
 
 
-def union_equivalent(first, second, engine=None, ordering=None):
+def union_equivalent(first, second, engine=None):
     """Equivalence of union queries (containment both ways)."""
-    return union_contains(
-        first, second, engine=engine, ordering=ordering
-    ) and union_contains(second, first, engine=engine, ordering=ordering)
+    return union_contains(first, second, engine=engine) and union_contains(
+        second, first, engine=engine
+    )
 
 
 def _as_union(query):

@@ -682,7 +682,7 @@ class ContainmentEngine:
                     cache=self._pipeline.target_cache(),
                 )
 
-    def cq_contains(self, sup, sub, ordering=None):
+    def cq_contains(self, sup, sub):
         """Chandra–Merlin containment for flat conjunctive queries.
 
         ``cq_contains(Q2, Q1)`` is True iff ``Q1 ⊑ Q2`` for
@@ -692,15 +692,8 @@ class ContainmentEngine:
         memoized under the ``branch_verdict`` artifact kind, which is
         what :func:`repro.cq.unions.union_contains` and
         :meth:`repro.cq.unions.UnionQuery.minimize` route through.
-
-        :param ordering: homomorphism search ordering
-            (:data:`repro.cq.propagation.ORDERINGS`, e.g. ``"bitset"``);
-            None keeps the ambient default.  The ordering changes the
-            search, never the verdict, so it is not part of the cache
-            key.
         """
         from repro.cq.containment import containment_mapping
-        from repro.cq.propagation import use_ordering
 
         with self._check("cq_contains"):
             self._stats.tally("cq_contains_calls")
@@ -714,11 +707,7 @@ class ContainmentEngine:
                     return cached
                 self._stats.tally("branch_verdict_misses")
             with self._tracer.span("simulation"):
-                if ordering is None:
-                    verdict = containment_mapping(sub, sup) is not None
-                else:
-                    with use_ordering(ordering):
-                        verdict = containment_mapping(sub, sup) is not None
+                verdict = containment_mapping(sub, sup) is not None
             if store is not None:
                 store.store("branch_verdict", key, verdict)
             return verdict

@@ -48,14 +48,13 @@ import threading
 from time import monotonic
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from repro.errors import (
     ContainmentTimeout,
     IncomparableQueriesError,
     UnsupportedQueryError,
 )
-from repro.cq.propagation import ORDERINGS, use_ordering
 from repro.engine.core import ContainmentEngine
 from repro.engine.stats import EngineStats
 
@@ -176,11 +175,9 @@ def _flush_store(engine):
         flush()
 
 
-def _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s,
-                ordering=None):
-    swap = use_ordering(ordering) if ordering is not None else nullcontext()
+def _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s):
     try:
-        with _deadline(timeout_s), swap:
+        with _deadline(timeout_s):
             if kind == "contains":
                 sup, sub = pair
                 return (
@@ -197,8 +194,7 @@ def _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s,
         return ("error", exc)
 
 
-def _run_chunk(chunk_index, kind, pairs, schema, witnesses, method, timeout_s,
-               ordering=None):
+def _run_chunk(chunk_index, kind, pairs, schema, witnesses, method, timeout_s):
     engine = _worker_engine
     if engine is None:  # pool built without initializer (executor=)
         _init_worker({})
@@ -206,8 +202,7 @@ def _run_chunk(chunk_index, kind, pairs, schema, witnesses, method, timeout_s,
     engine.reset_stats()
     engine.clear_trace()
     outcomes = [
-        _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s,
-                    ordering)
+        _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s)
         for pair in pairs
     ]
     _flush_store(engine)
@@ -239,11 +234,6 @@ class ParallelContainmentEngine:
         checks as :data:`UNDECIDED`; ``"raise"`` propagates
         :class:`ContainmentTimeout` after the batch completes.
     :param witnesses, method: as for :class:`ContainmentEngine`.
-    :param ordering: homomorphism-search strategy applied to every
-        check (one of :data:`repro.cq.propagation.ORDERINGS`; None =
-        the process default, normally ``"bitset"``).  Threaded to pool
-        workers per chunk, so kernel ablations work without in-process
-        ``use_ordering()`` hacks.
     :param engine: the in-process sequential engine to use for single
         checks, degraded batches, and stats aggregation (a fresh one is
         created otherwise).  Worker engines are configured with the same
@@ -274,16 +264,11 @@ class ParallelContainmentEngine:
                  on_timeout="undecided", engine=None, executor=None,
                  prepare_cache_size=512, verdict_cache_size=8192,
                  target_cache_size=1024, store=None, store_path=None,
-                 ordering=None, constraints=()):
+                 constraints=()):
         if on_timeout not in ("undecided", "raise"):
             raise UnsupportedQueryError(
                 "on_timeout must be 'undecided' or 'raise', got %r"
                 % (on_timeout,)
-            )
-        if ordering is not None and ordering not in ORDERINGS:
-            raise UnsupportedQueryError(
-                "unknown ordering %r (expected one of %s)"
-                % (ordering, ", ".join(ORDERINGS))
             )
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -297,7 +282,6 @@ class ParallelContainmentEngine:
         self._timeout_s = timeout_s
         self._chunk_size = chunk_size
         self._on_timeout = on_timeout
-        self._ordering = ordering
         self._worker_options = {
             "witnesses": witnesses,
             "method": method,
@@ -420,8 +404,7 @@ class ParallelContainmentEngine:
         stats.merge(worker_stats)
         stats.tally("worker_cache_hits", hits)
 
-    def _run_batch(self, kind, pairs, schema, witnesses, method, timeout_s,
-                   ordering=None):
+    def _run_batch(self, kind, pairs, schema, witnesses, method, timeout_s):
         """Decide every pair; returns outcome tuples in input order."""
         stats = self.stats()
         stats.tally("batch_calls")
@@ -434,7 +417,7 @@ class ParallelContainmentEngine:
                 futures = [
                     pool.submit(
                         _run_chunk, index, kind, pairs[start:stop],
-                        schema, witnesses, method, timeout_s, ordering,
+                        schema, witnesses, method, timeout_s,
                     )
                     for index, (start, stop) in enumerate(spans)
                 ]
@@ -452,8 +435,7 @@ class ParallelContainmentEngine:
                 self._mark_pool_broken()  # fall through: decide in-process
         outcomes = [
             _decide_one(
-                self._engine, kind, pair, schema, witnesses, method,
-                timeout_s, ordering,
+                self._engine, kind, pair, schema, witnesses, method, timeout_s
             )
             for pair in pairs
         ]
@@ -477,8 +459,7 @@ class ParallelContainmentEngine:
                 results.append(value)
         return results
 
-    def _defaults(self, witnesses, method, timeout_s, on_timeout,
-                  ordering=None):
+    def _defaults(self, witnesses, method, timeout_s, on_timeout):
         if witnesses is None:
             witnesses = self._worker_options["witnesses"]
         if method is None:
@@ -487,37 +468,29 @@ class ParallelContainmentEngine:
             timeout_s = self._timeout_s
         if on_timeout is None:
             on_timeout = self._on_timeout
-        if ordering is None:
-            ordering = self._ordering
-        elif ordering not in ORDERINGS:
-            raise UnsupportedQueryError(
-                "unknown ordering %r (expected one of %s)"
-                % (ordering, ", ".join(ORDERINGS))
-            )
-        return witnesses, method, timeout_s, on_timeout, ordering
+        return witnesses, method, timeout_s, on_timeout
 
     # -- public decisions ----------------------------------------------
 
     def contains(self, sup, sub, schema, witnesses=None, method=None,
-                 timeout_s=_UNSET, on_timeout=None, ordering=None):
+                 timeout_s=_UNSET, on_timeout=None):
         """``sub ⊑ sup``, decided in-process under the timeout budget.
 
         A single check never pays pool dispatch; it runs on the local
         engine (sharing its caches) with the same timeout semantics as
         the batch paths.
         """
-        witnesses, method, timeout_s, on_timeout, ordering = self._defaults(
-            witnesses, method, timeout_s, on_timeout, ordering
+        witnesses, method, timeout_s, on_timeout = self._defaults(
+            witnesses, method, timeout_s, on_timeout
         )
         outcome = _decide_one(
             self._engine, "contains", (sup, sub), schema,
-            witnesses, method, timeout_s, ordering,
+            witnesses, method, timeout_s,
         )
         return self._resolve([outcome], "raise", on_timeout)[0]
 
     def contains_many(self, pairs, schema, witnesses=None, method=None,
-                      on_error="raise", timeout_s=_UNSET, on_timeout=None,
-                      ordering=None):
+                      on_error="raise", timeout_s=_UNSET, on_timeout=None):
         """Decide ``sub ⊑ sup`` for every ``(sup, sub)`` pair, sharded.
 
         Same contract as :meth:`ContainmentEngine.contains_many` — in
@@ -531,17 +504,16 @@ class ParallelContainmentEngine:
             raise UnsupportedQueryError(
                 "on_error must be 'raise' or 'capture', got %r" % (on_error,)
             )
-        witnesses, method, timeout_s, on_timeout, ordering = self._defaults(
-            witnesses, method, timeout_s, on_timeout, ordering
+        witnesses, method, timeout_s, on_timeout = self._defaults(
+            witnesses, method, timeout_s, on_timeout
         )
         outcomes = self._run_batch(
-            "contains", list(pairs), schema, witnesses, method, timeout_s,
-            ordering,
+            "contains", list(pairs), schema, witnesses, method, timeout_s
         )
         return self._resolve(outcomes, on_error, on_timeout)
 
     def pairwise_matrix(self, queries, schema, witnesses=None, method=None,
-                        timeout_s=_UNSET, on_timeout=None, ordering=None):
+                        timeout_s=_UNSET, on_timeout=None):
         """The N×N containment matrix of *queries*, sharded.
 
         ``matrix[i][j]`` is True iff ``queries[j] ⊑ queries[i]``, None
@@ -550,12 +522,12 @@ class ParallelContainmentEngine:
         default policy).
         """
         queries = list(queries)
-        witnesses, method, timeout_s, on_timeout, ordering = self._defaults(
-            witnesses, method, timeout_s, on_timeout, ordering
+        witnesses, method, timeout_s, on_timeout = self._defaults(
+            witnesses, method, timeout_s, on_timeout
         )
         pairs = [(sup, sub) for sup in queries for sub in queries]
         outcomes = self._run_batch(
-            "contains", pairs, schema, witnesses, method, timeout_s, ordering
+            "contains", pairs, schema, witnesses, method, timeout_s
         )
         flat = []
         for tag, value in outcomes:
@@ -572,8 +544,7 @@ class ParallelContainmentEngine:
         return [flat[row * size:(row + 1) * size] for row in range(size)]
 
     def classify_many(self, query, candidates, schema, witnesses=None,
-                      method=None, timeout_s=_UNSET, on_timeout=None,
-                      ordering=None):
+                      method=None, timeout_s=_UNSET, on_timeout=None):
         """Label every candidate view's usability for *query*, sharded.
 
         Same contract and label caching as
@@ -588,8 +559,8 @@ class ParallelContainmentEngine:
         """
         from repro.engine.core import resolve_classifications
 
-        witnesses, method, timeout_s, on_timeout, ordering = self._defaults(
-            witnesses, method, timeout_s, on_timeout, ordering
+        witnesses, method, timeout_s, on_timeout = self._defaults(
+            witnesses, method, timeout_s, on_timeout
         )
         self.stats().tally("classify_calls")
         return resolve_classifications(
@@ -598,12 +569,12 @@ class ParallelContainmentEngine:
             lambda pairs: self.contains_many(
                 pairs, schema, witnesses=witnesses, method=method,
                 on_error="capture", timeout_s=timeout_s,
-                on_timeout=on_timeout, ordering=ordering,
+                on_timeout=on_timeout,
             ),
         )
 
     def simulated_many(self, pairs, witnesses=None, on_error="raise",
-                       timeout_s=_UNSET, on_timeout=None, ordering=None):
+                       timeout_s=_UNSET, on_timeout=None):
         """Batch grouping-query simulation: one verdict per ``(sub,
         sup)`` :class:`GroupingQuery` pair (Theorem 5.1's relation,
         ``sub ≼ sup``), sharded with the same chunking, ordering, and
@@ -617,11 +588,10 @@ is_simulated` and the brute-force canonical-database check.
             raise UnsupportedQueryError(
                 "on_error must be 'raise' or 'capture', got %r" % (on_error,)
             )
-        witnesses, method, timeout_s, on_timeout, ordering = self._defaults(
-            witnesses, None, timeout_s, on_timeout, ordering
+        witnesses, method, timeout_s, on_timeout = self._defaults(
+            witnesses, None, timeout_s, on_timeout
         )
         outcomes = self._run_batch(
-            "simulate", list(pairs), None, witnesses, method, timeout_s,
-            ordering,
+            "simulate", list(pairs), None, witnesses, method, timeout_s
         )
         return self._resolve(outcomes, on_error, on_timeout)

@@ -18,10 +18,10 @@ Endpoints (bodies and responses are JSON; schemas are either a
 method   path           body → response
 =======  =============  ====================================================
 POST     /v1/contain    ``{sup, sub, schema, timeout_s?, witnesses?,
-                        method?, ordering?}`` →
+                        method?}`` →
                         ``{"verdict": true|false|"undecided"}``
-POST     /v1/equiv      ``{q1, q2, schema, weak?, witnesses?, method?,
-                        ordering?}`` → ``{"verdict": ...}``
+POST     /v1/equiv      ``{q1, q2, schema, weak?, witnesses?, method?}``
+                        → ``{"verdict": ...}``
 POST     /v1/matrix     ``{queries, schema, timeout_s?, ...}`` →
                         ``{"matrix": [[true|false|null|"undecided", ...]]}``
 POST     /v1/lint       ``{query | queries, schema, select?, ignore?}`` →
@@ -48,10 +48,8 @@ window plus a grace), so a client always hears ``"undecided"`` within a
 bounded wall time even when in-process enforcement is unavailable.
 Batching: requests may only share an engine batch when their schema and
 decision knobs agree, so the batch group key is the content fingerprint
-of exactly that tuple.  The optional ``ordering`` knob (one of
-``repro.cq.propagation.ORDERINGS``) selects the homomorphism-search
-kernel per request — unknown values are a 400, mirroring the CLI's
-exit-2 usage error — and is part of the batch group key.
+of exactly that tuple.  Body fields the endpoint does not know are
+ignored.
 """
 
 import asyncio
@@ -60,10 +58,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from time import monotonic
 
-from contextlib import nullcontext
-
 from repro.errors import ReproError
-from repro.cq.propagation import ORDERINGS, use_ordering
 from repro.engine import ParallelContainmentEngine, UNDECIDED
 from repro.engine.parallel import Undecided
 from repro.pipeline.fingerprint import artifact_key
@@ -196,11 +191,10 @@ class ContainmentService:
 
     def _decide_batch(self, group, pairs):
         """One micro-batch → one ``contains_many`` (executor thread)."""
-        schema_items, witnesses, method, timeout_s, ordering = group
+        schema_items, witnesses, method, timeout_s = group
         verdicts = self._engine.contains_many(
             pairs, dict(schema_items), witnesses=witnesses, method=method,
             timeout_s=timeout_s, on_error="capture", on_timeout="undecided",
-            ordering=ordering,
         )
         self._flush()
         return verdicts
@@ -237,14 +231,7 @@ class ContainmentService:
         timeout_s = body.get("timeout_s", self._default_timeout_s)
         if timeout_s is not None and not isinstance(timeout_s, (int, float)):
             raise _HttpError(400, "'timeout_s' must be a number")
-        ordering = body.get("ordering")
-        if ordering is not None and ordering not in ORDERINGS:
-            raise _HttpError(
-                400,
-                "unknown ordering %r (expected one of %s)"
-                % (ordering, ", ".join(ORDERINGS)),
-            )
-        return witnesses, method, timeout_s, ordering
+        return witnesses, method, timeout_s
 
     async def _with_deadline(self, awaitable, timeout_s):
         """Bound the response wall time; ``UNDECIDED`` on overrun.
@@ -268,9 +255,9 @@ class ContainmentService:
         schema = self._schema_of(body)
         sup = self._query_field(body, "sup")
         sub = self._query_field(body, "sub")
-        witnesses, method, timeout_s, ordering = self._knobs_of(body)
+        witnesses, method, timeout_s = self._knobs_of(body)
         schema_items = tuple(sorted(schema.items()))
-        group = (schema_items, witnesses, method, timeout_s, ordering)
+        group = (schema_items, witnesses, method, timeout_s)
         key = artifact_key("service_batch", *group)
         verdict, missed = await self._with_deadline(
             self._batcher.submit(key, group, (sup, sub)), timeout_s
@@ -287,19 +274,17 @@ class ContainmentService:
         schema = self._schema_of(body)
         q1 = self._query_field(body, "q1")
         q2 = self._query_field(body, "q2")
-        witnesses, method, timeout_s, ordering = self._knobs_of(body)
+        witnesses, method, timeout_s = self._knobs_of(body)
         weak = bool(body.get("weak", False))
         engine = self._engine.engine()
         decide = (
             engine.weakly_equivalent if weak else engine.equivalent
         )
         loop = asyncio.get_running_loop()
-        swap = use_ordering(ordering) if ordering else nullcontext()
 
         def run():
-            with swap:
-                verdict = decide(q1, q2, schema, witnesses=witnesses,
-                                 method=method)
+            verdict = decide(q1, q2, schema, witnesses=witnesses,
+                             method=method)
             self._flush()
             return verdict
 
@@ -320,13 +305,13 @@ class ContainmentService:
             or not all(isinstance(q, str) for q in queries)
         ):
             raise _HttpError(400, "'queries' must be a list of strings")
-        witnesses, method, timeout_s, ordering = self._knobs_of(body)
+        witnesses, method, timeout_s = self._knobs_of(body)
         loop = asyncio.get_running_loop()
 
         def run():
             matrix = self._engine.pairwise_matrix(
                 queries, schema, witnesses=witnesses, method=method,
-                timeout_s=timeout_s, ordering=ordering,
+                timeout_s=timeout_s,
             )
             self._flush()
             return matrix
@@ -357,7 +342,7 @@ class ContainmentService:
             raise _HttpError(
                 400, "'views' must be a non-empty object of name -> query"
             )
-        witnesses, method, timeout_s, ordering = self._knobs_of(body)
+        witnesses, method, timeout_s = self._knobs_of(body)
         names = sorted(views)
         loop = asyncio.get_running_loop()
 
@@ -365,7 +350,7 @@ class ContainmentService:
             labels = self._engine.classify_many(
                 query, [views[name] for name in names], schema,
                 witnesses=witnesses, method=method, timeout_s=timeout_s,
-                on_timeout="undecided", ordering=ordering,
+                on_timeout="undecided",
             )
             self._flush()
             return labels

@@ -1,16 +1,14 @@
 """Differential guarantees of the bitset homomorphism kernel.
 
-The bitset kernel (``ordering="bitset"``) must be a drop-in for the
-list-based propagating search: same homomorphism *sequence* (not just
-set — the engine guarantees hash-seed-independent enumeration order),
-same search-tree size (the mask solver visits the candidate sets the
-list solver would, so ``nodes`` can never be worse), and the same
-verdicts along an entire workload-simulator trajectory.  These tests
-pin all three, plus the incremental-cardinality expansion order the
-``min(remaining, key=...)`` heuristic commits to.
+The kernel must enumerate exactly the homomorphism set of the naive
+source-order backtracker in ``tests/naive_homomorphism.py`` (an
+independent oracle sharing none of its pruning), in a deterministic
+order: the engine guarantees hash-seed-independent enumeration.  These
+tests pin the set equality over a hypothesis family, the node counts
+of the padded pigeonhole refutation, and the incremental-cardinality
+expansion order the ``min(remaining, key=...)`` heuristic commits to.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cq.terms import Var, Const, Atom
@@ -19,10 +17,12 @@ from repro.cq.homomorphism import (
     ground_atoms_of_query,
     SearchCounters,
     install_search_counters,
-    use_ordering,
 )
-from repro.workloads import WorkloadSimulator, company_scenario
 from repro.workloads.generators import random_cq
+
+from tests.naive_homomorphism import NaiveBacktrackHomomorphismAlgorithm
+
+ORACLE = NaiveBacktrackHomomorphismAlgorithm.instance()
 
 SCHEMA = {"r": 2, "s": 2, "t": 3}
 
@@ -39,17 +39,19 @@ def _pair_for_seed(seed):
     return source_q.body, target
 
 
-def _run(source, target, ordering, **kwargs):
-    """(homomorphism list, counters) for one search under *ordering*."""
+def _run(search, source, target):
+    """(homomorphism list, counters) for one run of *search*."""
     sink = SearchCounters()
     previous = install_search_counters(sink)
     try:
-        found = list(
-            find_all_homomorphisms(source, target, ordering=ordering, **kwargs)
-        )
+        found = list(search(source, target))
     finally:
         install_search_counters(previous)
     return found, sink
+
+
+def _mapping_set(mappings):
+    return {frozenset(m.items()) for m in mappings}
 
 
 def padded_pigeonhole(n, rays, leaves):
@@ -77,42 +79,27 @@ def padded_pigeonhole(n, rays, leaves):
 class TestHypothesisDifferential:
     @given(seed=st.integers(min_value=0, max_value=99_999))
     @settings(max_examples=250, deadline=None)
-    def test_bitset_matches_propagating_byte_for_byte(self, seed):
+    def test_kernel_matches_oracle(self, seed):
         source, target = _pair_for_seed(seed)
-        reference, ref_counters = _run(source, target, "propagating")
-        found, counters = _run(source, target, "bitset")
-        # Identical sequence, not just identical set: the bitset kernel
-        # walks set bits in ascending row-id order, which is exactly the
-        # list kernel's insertion order.
-        assert found == reference
-        # Identical candidate sets at every choice point imply an
-        # identical search tree; never *more* nodes than the list kernel.
-        assert counters.nodes <= ref_counters.nodes
-        assert counters.backtracks <= ref_counters.backtracks
-
-    @given(seed=st.integers(min_value=0, max_value=99_999))
-    @settings(max_examples=60, deadline=None)
-    def test_cost_hybrid_enumerates_the_same_set(self, seed):
-        source, target = _pair_for_seed(seed)
-        reference, __ = _run(source, target, "propagating")
-        found, __ = _run(source, target, "cost")
-        assert {frozenset(m.items()) for m in found} == {
-            frozenset(m.items()) for m in reference
-        }
+        found, __ = _run(find_all_homomorphisms, source, target)
+        reference, __ = _run(ORACLE.compute_homomorphisms, source, target)
+        assert _mapping_set(found) == _mapping_set(reference)
+        # A homomorphism is enumerated once, never repeated.
+        assert len(found) == len(reference)
 
 
 class TestAdversaryDifferential:
     def test_padded_pigeonhole_identical_refutation(self):
+        # The E11 adversary instance: the clique component is refuted
+        # once, after which the padding component is never searched.
         source, target = padded_pigeonhole(5, 2, 4)
-        reference, ref_counters = _run(source, target, "propagating")
-        found, counters = _run(source, target, "bitset")
-        assert found == reference == []
-        assert counters.nodes == ref_counters.nodes
-        assert counters.backtracks == ref_counters.backtracks
-        assert counters.domain_wipeouts == ref_counters.domain_wipeouts
-        assert counters.components_solved == ref_counters.components_solved
-        assert counters.mask_intersections > 0
-        assert ref_counters.mask_intersections == 0
+        found, counters = _run(find_all_homomorphisms, source, target)
+        assert found == []
+        assert counters.nodes == 396
+        assert counters.backtracks == 396
+        assert counters.domain_wipeouts == 132
+        assert counters.components_solved == 1
+        assert counters.mask_intersections == 902
 
     def test_satisfiable_pigeonhole_identical_enumeration(self):
         # K_4 into frozen K_4: satisfiable, many homomorphisms — the
@@ -123,30 +110,10 @@ class TestAdversaryDifferential:
         ) + tuple(
             Atom("e", (Const("c%d" % j), Const("c3"))) for j in range(3)
         )
-        reference, ref_counters = _run(source, target, "propagating")
-        found, counters = _run(source, target, "bitset")
-        assert found == reference
-        assert len(found) > 0
-        assert counters.nodes == ref_counters.nodes
-
-
-class TestWorkloadTrajectory:
-    def _summary(self, ordering):
-        with use_ordering(ordering):
-            summary = WorkloadSimulator(
-                company_scenario(seed=13), steps=40, seed=13,
-                zipf_s=1.2, churn=0.05, max_views=8,
-            ).run()
-        # Latencies are wall-clock; everything else is pinned by seed
-        # and must not depend on the homomorphism kernel.
-        return {
-            key: value
-            for key, value in summary.items()
-            if key not in ("p50_ms", "p99_ms")
-        }
-
-    def test_seed_13_trajectory_is_kernel_independent(self):
-        assert self._summary("bitset") == self._summary("propagating")
+        found, __ = _run(find_all_homomorphisms, source, target)
+        reference, __ = _run(ORACLE.compute_homomorphisms, source, target)
+        assert _mapping_set(found) == _mapping_set(reference)
+        assert len(found) == len(reference) > 0
 
 
 class TestExpansionOrderRegression:
@@ -179,14 +146,13 @@ class TestExpansionOrderRegression:
         {Var("X"): 3, Var("Y"): 10},
     ]
 
-    @pytest.mark.parametrize("ordering", ("bitset", "propagating", "cost"))
-    def test_fewest_candidates_first(self, ordering):
-        found, __ = _run(self.SOURCE, self.TARGET, ordering)
+    def test_fewest_candidates_first(self):
+        found, __ = _run(find_all_homomorphisms, self.SOURCE, self.TARGET)
         assert found == self.EXPECTED
 
     def test_static_control_differs(self):
         # The pin above is only meaningful if the heuristic actually
         # changed the order relative to naive source-order expansion.
-        found, __ = _run(self.SOURCE, self.TARGET, "static")
+        found, __ = _run(ORACLE.compute_homomorphisms, self.SOURCE, self.TARGET)
         assert found == self.STATIC_ORDER
         assert found != self.EXPECTED

@@ -73,32 +73,6 @@ class TestCli:
         assert code == 0
         assert "contained" in capsys.readouterr().out
 
-    def test_contain_ordering_flag(self, capsys):
-        for ordering in ("bitset", "propagating", "cost"):
-            code = main(
-                [
-                    "contain", "--schema", "r:a,b", "--ordering", ordering,
-                    "select [v: x.a] from x in r",
-                    "select [v: x.a] from x in r where x.b = 1",
-                ]
-            )
-            assert code == 0
-            assert "contained" in capsys.readouterr().out
-
-    def test_contain_unknown_ordering_exits_two(self, capsys):
-        # argparse rejects values outside ORDERINGS with its usage-error
-        # exit code, matching the documented convention.
-        with pytest.raises(SystemExit) as info:
-            main(
-                [
-                    "contain", "--schema", "r:a,b", "--ordering", "bogus",
-                    "select [v: x.a] from x in r",
-                    "select [v: x.a] from x in r",
-                ]
-            )
-        assert info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
     def test_contain_negative(self, capsys):
         code = main(
             [
@@ -389,7 +363,7 @@ class TestCliExitCodeRegression:
         import repro.engine.parallel as parallel
 
         def _always_times_out(engine, kind, pair, schema, witnesses,
-                              method, timeout_s, ordering=None):
+                              method, timeout_s):
             return ("timeout", ContainmentTimeout("simulated timeout"))
 
         monkeypatch.setattr(parallel, "_decide_one", _always_times_out)

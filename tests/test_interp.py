@@ -8,9 +8,7 @@ Three layers, mirroring the module:
   queries (dead conditions, fan-out, generator cardinalities);
 * the certificates — ``component_node_bound`` / ``pair_certificate`` /
   ``cost_certificate`` must *dominate* the measured
-  ``SearchCounters.nodes`` of the searches they budget, and the
-  ``cost`` ordering they feed must agree with every fixed ordering on
-  verdicts.
+  ``SearchCounters.nodes`` of the searches they budget.
 """
 
 import json
@@ -45,12 +43,7 @@ from repro.coql.ast import (
     VarRef,
 )
 from repro.coql.parser import parse_coql
-from repro.cq.homomorphism import (
-    ORDERINGS,
-    SearchCounters,
-    install_search_counters,
-    use_ordering,
-)
+from repro.cq.homomorphism import SearchCounters, install_search_counters
 from repro.engine import ContainmentEngine
 from repro.errors import ParseError, ReproError
 from repro.cq.terms import Atom, Var
@@ -413,16 +406,14 @@ class TestPairCertificate:
         assert verdict is True
         assert nodes <= certificate.total_bound
 
-    @pytest.mark.parametrize("ordering", list(ORDERINGS))
-    def test_dominates_every_ordering(self, counters, ordering):
-        """The bound holds per strategy, not just for the default."""
+    def test_dominates_the_clique_refutation(self, counters):
         sub = clique_grouping(3, 2, "k3")
         sup = clique_grouping(4, 2, "k4")
         certificate = pair_certificate(sub, sup, witnesses=1)
-        with use_ordering(ordering):
-            verdict, nodes = measured_nodes(
-                counters, lambda: is_simulated(sub, sup, witnesses=1)
-            )
+        verdict, nodes = measured_nodes(
+            counters, lambda: is_simulated(sub, sup, witnesses=1)
+        )
+        assert verdict is False
         assert nodes <= certificate.total_bound
 
     def test_pinned_witnesses_collapse_stages(self):
@@ -509,18 +500,8 @@ class TestCostCertificate:
         ).explain()
         assert "total node bound" in text
         assert "witness stages" in text
-        assert "strategy" in text
-
-    def test_recommended_orderings_match_components(self):
-        certificate = cost_certificate(
-            self.NESTED, SCHEMA, engine=ContainmentEngine()
-        )
-        assert len(certificate.recommended_orderings) == len(
-            certificate.components
-        )
-        assert set(certificate.recommended_orderings) <= {
-            "simple", "bitset"
-        }
+        assert "atom(s), rows" in text
+        assert "strategy" not in text
 
     def test_certificate_is_picklable(self):
         certificate = cost_certificate(
@@ -535,35 +516,3 @@ class TestCostCertificate:
         second = engine.cost_certificate(self.NESTED, SCHEMA)
         assert first.total_bound == second.total_bound
         assert engine.stats().counter("cost_certificate_hits") > 0
-
-
-# -- the cost ordering agrees with every fixed ordering ----------------
-
-
-class TestCostOrderingDifferential:
-    PAIRS = [
-        ("reflexive", lambda: (
-            chain_grouping_query(3),
-            chain_grouping_query(3).rename_apart("_p"),
-        )),
-        ("clique_simulated", lambda: (
-            clique_grouping(3, 2, "k3"),
-            clique_grouping(3, 2, "k3b"),
-        )),
-        ("clique_adversary", lambda: (
-            clique_grouping(4, 2, "k4"),
-            clique_grouping(5, 2, "k5"),
-        )),
-    ]
-
-    @pytest.mark.parametrize(
-        "name", [name for name, __ in PAIRS]
-    )
-    def test_same_verdict_as_fixed_orderings(self, name):
-        build = dict(self.PAIRS)[name]
-        sub, sup = build()
-        verdicts = {}
-        for ordering in ORDERINGS:
-            with use_ordering(ordering):
-                verdicts[ordering] = is_simulated(sub, sup)
-        assert len(set(verdicts.values())) == 1, verdicts

@@ -1,13 +1,17 @@
 """The persistent artifact tier: round trips, tiering semantics,
 failure degradation, and genuine cross-process warm starts."""
 
+import copyreg
+import io
 import multiprocessing
 import os
+import pickle
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.cq.propagation import CompiledTarget, compile_target
 from repro.engine import ContainmentEngine
 from repro.pipeline import ArtifactStore, MISSING, PersistentStore, TieredStore
 from repro.pipeline.persist import FORMAT_VERSION
@@ -19,6 +23,23 @@ UNLINKED = (
     " from x in r"
 )
 FLAT = "select [v: x.a] from x in r"
+
+
+def _stale_compiled_target():
+    """A compiled target pickled with the ``index`` slot older versions
+    carried: unpickling it now raises AttributeError."""
+    target = compile_target(())
+    state = {name: getattr(target, name) for name in CompiledTarget.__slots__}
+    state["index"] = {}
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {
+        CompiledTarget: lambda obj: (
+            copyreg.__newobj__, (CompiledTarget,), (None, state)
+        ),
+    }
+    pickler.dump(target)
+    return buffer.getvalue()
 
 
 class TestPersistentStore:
@@ -117,24 +138,50 @@ class TestPersistentStore:
         store.close()
 
     def test_poisoned_row_is_a_miss_and_evicted(self, tmp_path):
-        path = str(tmp_path / "a.db")
-        with PersistentStore(path) as store:
-            store.store("k", "good", "value")
+        payloads = {
+            "garbage": b"\x80\x04 truncated garbage",
+            "stale_target": _stale_compiled_target(),
+        }
+        for name, payload in payloads.items():
+            path = str(tmp_path / ("%s.db" % name))
+            with PersistentStore(path) as store:
+                store.store("k", "good", "value")
+            conn = sqlite3.connect(path)
+            conn.execute(
+                "INSERT INTO artifacts (kind, key, value, stored_at)"
+                " VALUES ('k', 'bad', ?, 0.0)",
+                (payload,),
+            )
+            conn.commit()
+            conn.close()
+            with PersistentStore(path) as store:
+                assert store.lookup("k", "bad") is MISSING, name
+                assert store.counters()["k"]["load_errors"] == 1, name
+                # The poisoned row was dropped so a recomputed artifact
+                # can take its place; rows() skips nothing that remains.
+                assert store.sizes() == {"k": 1}, name
+                assert [key for __, key, __ in store.rows()] == ["good"]
+        # Stale compiled targets under the engine's own keys: every one
+        # is a load error, recomputed to the same verdict.
+        path = str(tmp_path / "engine.db")
+        engine = ContainmentEngine(store_path=path)
+        assert engine.contains(WIDER, UNLINKED, SCHEMA) is True
+        engine.store().close()
         conn = sqlite3.connect(path)
-        conn.execute(
-            "INSERT INTO artifacts (kind, key, value, stored_at)"
-            " VALUES ('k', 'bad', ?, 0.0)",
-            (b"\x80\x04 truncated garbage",),
-        )
+        stale = conn.execute(
+            "UPDATE artifacts SET value = ? WHERE kind = 'targets'",
+            (payloads["stale_target"],),
+        ).rowcount
+        conn.execute("DELETE FROM artifacts WHERE kind != 'targets'")
         conn.commit()
         conn.close()
-        with PersistentStore(path) as store:
-            assert store.lookup("k", "bad") is MISSING
-            assert store.counters()["k"]["load_errors"] == 1
-            # The poisoned row was dropped so a recomputed artifact can
-            # take its place; rows() skips nothing that remains.
-            assert store.sizes() == {"k": 1}
-            assert [key for __, key, __ in store.rows()] == ["good"]
+        assert stale > 0
+        warm = ContainmentEngine(store_path=path)
+        assert warm.contains(WIDER, UNLINKED, SCHEMA) is True
+        tally = warm.store().counters()["targets"]
+        assert tally["disk_load_errors"] == stale
+        assert tally["disk_hits"] == 0
+        warm.store().close()
 
     def test_closed_store_behaves_as_broken(self, tmp_path):
         store = PersistentStore(str(tmp_path / "a.db"))

@@ -1,5 +1,5 @@
 """The constraint-propagating homomorphism core: compiled targets,
-deterministic enumeration, ordering-strategy equivalence, component
+deterministic enumeration, agreement with the naive oracle, component
 decomposition, adversarial node-count separation, and the engine's
 simulation-target cache."""
 
@@ -17,13 +17,14 @@ from repro.cq.homomorphism import (
     CompiledTarget,
     SearchCounters,
     install_search_counters,
-    default_ordering,
-    use_ordering,
-    ORDERINGS,
 )
 from repro.cq.propagation import active_counters
 from repro.engine import ContainmentEngine
 from repro.workloads.generators import random_cq, chain_grouping_query
+
+from tests.naive_homomorphism import NaiveBacktrackHomomorphismAlgorithm
+
+ORACLE = NaiveBacktrackHomomorphismAlgorithm.instance()
 
 SCHEMA = {"r": 2, "s": 2, "t": 3}
 
@@ -99,10 +100,11 @@ class TestCompileTarget:
 
     def test_inverted_index_and_domains(self):
         compiled = compile_target(atoms("r(1, 2)", "r(1, 3)", "r(4, 2)"))
-        index = compiled.index[("r", 2)]
-        assert index[0][1] == frozenset({0, 1})
-        assert index[0][4] == frozenset({2})
-        assert index[1][2] == frozenset({0, 2})
+        masks = compiled.masks[("r", 2)]
+        assert masks[0][1] == 0b011
+        assert masks[0][4] == 0b100
+        assert masks[1][2] == 0b101
+        assert compiled.full_masks[("r", 2)] == 0b111
         assert compiled.domains[("r", 2)] == (
             frozenset({1, 4}),
             frozenset({2, 3}),
@@ -111,93 +113,31 @@ class TestCompileTarget:
     def test_entry_points_accept_compiled_targets(self):
         compiled = compile_target(atoms("r(1, 2)", "r(2, 3)"))
         source = atoms("r(X, Y)")
-        for ordering in ORDERINGS:
-            assert (
-                find_homomorphism(source, compiled, ordering=ordering)
-                is not None
-            )
-            assert count_homomorphisms(source, compiled, ordering=ordering) == 2
+        assert find_homomorphism(source, compiled) is not None
+        assert count_homomorphisms(source, compiled) == 2
 
 
 class TestDeterminism:
     def test_enumeration_order_is_insertion_order(self):
         source = atoms("r(X, Y)")
         target = atoms("r(3, 0)", "r(1, 0)", "r(2, 0)")
-        for ordering in ORDERINGS:
-            rows = [
-                m[Var("X")]
-                for m in find_all_homomorphisms(
-                    source, target, ordering=ordering
-                )
-            ]
-            assert rows == [3, 1, 2], ordering
+        rows = [m[Var("X")] for m in find_all_homomorphisms(source, target)]
+        assert rows == [3, 1, 2]
 
     def test_repeated_calls_enumerate_identically(self):
         source = atoms("r(X, Y)", "s(Y, Z)", "r(Z, W)")
         target = atoms(
             "r(1, 2)", "r(2, 1)", "r(3, 1)", "s(2, 3)", "s(1, 3)", "s(2, 1)"
         )
-        for ordering in ORDERINGS:
-            first = list(
-                find_all_homomorphisms(source, target, ordering=ordering)
-            )
-            second = list(
-                find_all_homomorphisms(source, target, ordering=ordering)
-            )
-            assert first == second, ordering
-            assert first, ordering
+        first = list(find_all_homomorphisms(source, target))
+        second = list(find_all_homomorphisms(source, target))
+        assert first == second
+        assert first
 
     def test_duplicate_target_atoms_do_not_duplicate_homomorphisms(self):
         source = atoms("r(X, Y)")
         target = atoms("r(1, 2)", "r(1, 2)", "r(1, 2)")
-        for ordering in ORDERINGS:
-            assert count_homomorphisms(source, target, ordering=ordering) == 1
-
-
-class TestOrderingParameter:
-    def test_default_is_bitset(self):
-        assert default_ordering() == "bitset"
-        assert ORDERINGS[0] == "bitset"
-        assert "propagating" in ORDERINGS  # the differential twin stays
-
-    def test_unknown_ordering_raises(self):
-        source = atoms("r(X, Y)")
-        target = atoms("r(1, 2)")
-        with pytest.raises(ReproError):
-            list(find_all_homomorphisms(source, target, ordering="mystery"))
-        with pytest.raises(ReproError):
-            with use_ordering("mystery"):
-                pass
-
-    def test_use_ordering_swaps_and_restores_default(self):
-        assert default_ordering() == "bitset"
-        with use_ordering("static"):
-            assert default_ordering() == "static"
-            with use_ordering("adaptive"):
-                assert default_ordering() == "adaptive"
-            assert default_ordering() == "static"
-        assert default_ordering() == "bitset"
-
-    def test_count_homomorphisms_respects_ordering(self, counters):
-        source = atoms("r(X, Y)", "r(Y, Z)")
-        target = atoms("r(1, 2)", "r(2, 3)", "r(2, 1)")
-        counts = {}
-        for ordering in ORDERINGS:
-            counters.reset()
-            counts[ordering] = count_homomorphisms(
-                source, target, ordering=ordering
-            )
-            if ordering in ("bitset", "propagating", "cost"):
-                assert counters.components_solved > 0
-            else:
-                assert counters.components_solved == 0
-            if ordering == "bitset":
-                assert counters.kernel_selected > 0
-                assert counters.mask_intersections > 0
-            elif ordering in ("adaptive", "static"):
-                assert counters.kernel_selected == 0
-                assert counters.mask_intersections == 0
-        assert len(set(counts.values())) == 1
+        assert count_homomorphisms(source, target) == 1
 
 
 class TestFixedAndAllowed:
@@ -205,65 +145,55 @@ class TestFixedAndAllowed:
     TARGET = atoms("r(1, 2)", "r(1, 3)", "s(2, 4)", "s(3, 4)", "s(3, 5)")
 
     def test_fixed_pins_and_is_echoed(self):
-        for ordering in ORDERINGS:
-            found = mapping_set(
-                find_all_homomorphisms(
-                    self.SOURCE, self.TARGET,
-                    fixed={Var("Y"): 3}, ordering=ordering,
-                )
+        found = mapping_set(
+            find_all_homomorphisms(
+                self.SOURCE, self.TARGET, fixed={Var("Y"): 3}
             )
-            assert found == {
-                frozenset({(Var("X"), 1), (Var("Y"), 3), (Var("Z"), 4)}),
-                frozenset({(Var("X"), 1), (Var("Y"), 3), (Var("Z"), 5)}),
-            }
+        )
+        assert found == {
+            frozenset({(Var("X"), 1), (Var("Y"), 3), (Var("Z"), 4)}),
+            frozenset({(Var("X"), 1), (Var("Y"), 3), (Var("Z"), 5)}),
+        }
 
     def test_fixed_variable_absent_from_source_is_echoed(self):
-        for ordering in ORDERINGS:
-            found = list(
-                find_all_homomorphisms(
-                    atoms("r(X, Y)"), atoms("r(1, 2)"),
-                    fixed={Var("Q"): 9}, ordering=ordering,
-                )
+        found = list(
+            find_all_homomorphisms(
+                atoms("r(X, Y)"), atoms("r(1, 2)"), fixed={Var("Q"): 9}
             )
-            assert found == [{Var("X"): 1, Var("Y"): 2, Var("Q"): 9}]
+        )
+        assert found == [{Var("X"): 1, Var("Y"): 2, Var("Q"): 9}]
 
     def test_allowed_restricts_every_occurrence(self):
-        for ordering in ORDERINGS:
-            found = mapping_set(
-                find_all_homomorphisms(
-                    self.SOURCE, self.TARGET,
-                    allowed={Var("Y"): {2}}, ordering=ordering,
-                )
+        found = mapping_set(
+            find_all_homomorphisms(
+                self.SOURCE, self.TARGET, allowed={Var("Y"): {2}}
             )
-            assert found == {
-                frozenset({(Var("X"), 1), (Var("Y"), 2), (Var("Z"), 4)})
-            }
+        )
+        assert found == {
+            frozenset({(Var("X"), 1), (Var("Y"), 2), (Var("Z"), 4)})
+        }
 
     def test_fixed_outside_allowed_yields_nothing(self):
-        for ordering in ORDERINGS:
-            assert (
-                count_homomorphisms(
-                    self.SOURCE, self.TARGET,
-                    fixed={Var("Y"): 3}, allowed={Var("Y"): {2}},
-                    ordering=ordering,
-                )
-                == 0
+        assert (
+            count_homomorphisms(
+                self.SOURCE, self.TARGET,
+                fixed={Var("Y"): 3}, allowed={Var("Y"): {2}},
             )
+            == 0
+        )
 
     def test_fixed_and_allowed_interact_across_shared_atoms(self):
         # Pinning X forces Y through r; allowed on Z then decides between
         # the two s-rows reachable from that Y.
-        for ordering in ORDERINGS:
-            found = mapping_set(
-                find_all_homomorphisms(
-                    self.SOURCE, self.TARGET,
-                    fixed={Var("X"): 1}, allowed={Var("Z"): {5}},
-                    ordering=ordering,
-                )
+        found = mapping_set(
+            find_all_homomorphisms(
+                self.SOURCE, self.TARGET,
+                fixed={Var("X"): 1}, allowed={Var("Z"): {5}},
             )
-            assert found == {
-                frozenset({(Var("X"), 1), (Var("Y"), 3), (Var("Z"), 5)})
-            }
+        )
+        assert found == {
+            frozenset({(Var("X"), 1), (Var("Y"), 3), (Var("Z"), 5)})
+        }
 
     def test_empty_allowed_set_refutes_without_search(self, counters):
         assert (
@@ -284,7 +214,7 @@ class TestComponentDecomposition:
         assert len(found) == 2 * 3
         assert counters.components_solved == 2
         assert mapping_set(found) == mapping_set(
-            find_all_homomorphisms(source, target, ordering="adaptive")
+            ORACLE.compute_homomorphisms(source, target)
         )
 
     def test_cross_product_nodes_are_additive(self, counters):
@@ -310,50 +240,39 @@ class TestComponentDecomposition:
         target = atoms("r(1, 2)", "r(3, 4)")
         found = mapping_set(find_all_homomorphisms(source, target))
         assert found == mapping_set(
-            find_all_homomorphisms(source, target, ordering="static")
+            ORACLE.compute_homomorphisms(source, target)
         )
         assert len(found) == 2
 
     def test_ground_source_atom_absent_from_target_refutes(self):
         source = atoms("r(9, 9)", "r(X, Y)")
         target = atoms("r(1, 2)")
-        for ordering in ORDERINGS:
-            assert (
-                find_homomorphism(source, target, ordering=ordering) is None
-            )
+        assert find_homomorphism(source, target) is None
 
     def test_empty_source_yields_fixed_binding(self):
-        for ordering in ORDERINGS:
-            found = list(
-                find_all_homomorphisms(
-                    (), atoms("r(1, 2)"), fixed={Var("X"): 7},
-                    ordering=ordering,
-                )
-            )
-            assert found == [{Var("X"): 7}]
+        found = list(
+            find_all_homomorphisms((), atoms("r(1, 2)"), fixed={Var("X"): 7})
+        )
+        assert found == [{Var("X"): 7}]
 
 
 class TestAdversary:
     def test_pigeonhole_refuted_by_every_strategy(self):
+        # Both the kernel and the naive source-order oracle refute it.
         source, target = padded_pigeonhole(4, 2, 3)
-        for ordering in ORDERINGS:
-            assert (
-                find_homomorphism(source, target, ordering=ordering) is None
-            )
+        assert find_homomorphism(source, target) is None
+        assert not ORACLE.exist_homomorphism(source, target)
 
     def test_propagating_visits_strictly_fewer_nodes(self, counters):
         source, target = padded_pigeonhole(5, 2, 4)
-        counts = {}
-        for ordering in ("propagating", "adaptive"):
-            counters.reset()
-            assert (
-                find_homomorphism(source, target, ordering=ordering) is None
-            )
-            counts[ordering] = counters.nodes
-        assert counts["propagating"] < counts["adaptive"]
+        assert find_homomorphism(source, target) is None
+        kernel_nodes = counters.nodes
+        counters.reset()
+        assert not ORACLE.exist_homomorphism(source, target)
+        naive_nodes = counters.nodes
         # The component argument makes the padded refutation additive,
         # not multiplicative: at least the 2x bar of experiment E11.
-        assert counts["propagating"] * 2 <= counts["adaptive"]
+        assert kernel_nodes * 2 <= naive_nodes
 
     def test_propagation_counters_tick_on_refutation(self, counters):
         source, target = padded_pigeonhole(5, 2, 4)
@@ -362,20 +281,21 @@ class TestAdversary:
         assert counters.components_solved >= 1
 
     def test_satisfiable_clique_found_by_every_strategy(self):
-        # K_4 into K_4 has homomorphisms; all strategies agree on the set.
+        # K_4 into K_4 has homomorphisms; the kernel and the oracle
+        # agree on the set.
         source = clique_source(4)
         target = clique_target(4)
-        sets = [
-            mapping_set(
-                find_all_homomorphisms(source, target, ordering=ordering)
-            )
-            for ordering in ORDERINGS
-        ]
-        assert all(found == sets[0] for found in sets)
-        assert len(sets[0]) == 24  # the 4! vertex permutations
+        found = mapping_set(find_all_homomorphisms(source, target))
+        assert found == mapping_set(
+            ORACLE.compute_homomorphisms(source, target)
+        )
+        assert len(found) == 24  # the 4! vertex permutations
 
 
 class TestDifferentialEquivalence:
+    """The kernel's most-constrained-first search against the oracle's
+    source-order expansion."""
+
     def pairs(self):
         out = []
         for seed in range(100):
@@ -397,16 +317,13 @@ class TestDifferentialEquivalence:
         compared = 0
         nonempty = 0
         for source, target in self.pairs():
-            reference = mapping_set(
-                find_all_homomorphisms(source, target, ordering="propagating")
-            )
-            for ordering in ("adaptive", "static"):
-                assert reference == mapping_set(
-                    find_all_homomorphisms(source, target, ordering=ordering)
-                ), (ordering, source)
-                compared += 1
-            nonempty += bool(reference)
-        assert compared >= 200
+            found = mapping_set(find_all_homomorphisms(source, target))
+            assert found == mapping_set(
+                ORACLE.compute_homomorphisms(source, target)
+            ), source
+            compared += 1
+            nonempty += bool(found)
+        assert compared == 100
         assert nonempty >= 25  # the family is not vacuously unsatisfiable
 
     def test_all_orderings_agree_under_fixed_and_allowed(self):
@@ -428,21 +345,18 @@ class TestDifferentialEquivalence:
                 if len(variables) > 1 and values
                 else {}
             )
-            reference = mapping_set(
+            found = mapping_set(
                 find_all_homomorphisms(
-                    source, target, fixed=fixed, allowed=allowed,
-                    ordering="propagating",
+                    source, target, fixed=fixed, allowed=allowed
                 )
             )
-            for ordering in ("adaptive", "static"):
-                assert reference == mapping_set(
-                    find_all_homomorphisms(
-                        source, target, fixed=fixed, allowed=allowed,
-                        ordering=ordering,
-                    )
-                ), (ordering, source, fixed, allowed)
-                compared += 1
-        assert compared >= 80
+            assert found == mapping_set(
+                ORACLE.compute_homomorphisms(
+                    source, target, fixed=fixed, allowed=allowed
+                )
+            ), (source, fixed, allowed)
+            compared += 1
+        assert compared >= 40
 
 
 class TestEngineTargetCache:

@@ -113,28 +113,6 @@ class TestProtocol:
             client.contain(FLAT, FLAT, SCHEMA, method="oracle")
         assert info.value.status == 400
 
-    def test_ordering_knob_is_honored(self, client):
-        # Every kernel answers the same verdicts; the knob joins the
-        # batch group key so ablation requests never share a batch with
-        # default-kernel traffic.
-        for ordering in ("bitset", "propagating", "cost"):
-            assert client.contain(
-                WIDER, UNLINKED, SCHEMA, ordering=ordering
-            ) is True
-            assert client.contain(
-                UNLINKED, WIDER, SCHEMA, ordering=ordering
-            ) is False
-        assert client.equiv(FLAT, FLAT, SCHEMA, ordering="bitset") is True
-        matrix = client.matrix(
-            [FLAT, FLAT_RESTRICTED], SCHEMA, ordering="propagating"
-        )
-        assert matrix == [[True, True], [False, True]]
-
-    def test_bad_ordering_is_400(self, client):
-        with pytest.raises(ServiceError) as info:
-            client.contain(FLAT, FLAT, SCHEMA, ordering="bogus")
-        assert info.value.status == 400
-
     def test_unknown_route_is_404(self, service):
         conn = HTTPConnection(service.host, service.port, timeout=10)
         conn.request("POST", "/v1/nope", body=b"{}")
