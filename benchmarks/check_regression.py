@@ -232,7 +232,9 @@ def main(argv=None):
     for name in seed_files:
         fresh_path = os.path.join(options.fresh, name)
         if not os.path.exists(fresh_path):
-            all_failures.append("%s: fresh file missing" % name)
+            message = "%s: fresh file missing" % name
+            print("FAIL  %s" % message)
+            all_failures.append(message)
             continue
         fresh_rows = load_rows(fresh_path)
         failures, warnings = compare_module(

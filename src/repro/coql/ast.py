@@ -47,7 +47,7 @@ __all__ = [
 class Expr(PicklableSlots):
     """Base class for COQL expressions."""
 
-    __slots__ = ("_span",)
+    __slots__ = ("_span", "_digest")
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)

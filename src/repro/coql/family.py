@@ -67,9 +67,13 @@ def union_branches(expr):
 
     Union-free queries expand to the one-element family ``(expr,)`` —
     the same object, so the singleton path through the engine prepares
-    and caches exactly what it did before families existed.
+    and caches exactly what it did before families existed.  A single
+    branch skips the duplicate filter, whose set would hash the whole
+    tree.
     """
     branches = _expand(expr)
+    if len(branches) == 1:
+        return (branches[0],)
     seen = set()
     out = []
     for branch in branches:

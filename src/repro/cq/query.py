@@ -45,7 +45,7 @@ class ConjunctiveQuery(PicklableSlots):
     (X,)
     """
 
-    __slots__ = ("name", "head", "body", "_hash")
+    __slots__ = ("name", "head", "body", "_hash", "_digest")
 
     def __init__(self, head, body, name="q"):
         head = tuple(head)

@@ -92,7 +92,7 @@ class Atom(PicklableSlots):
     'r'
     """
 
-    __slots__ = ("pred", "args", "_hash")
+    __slots__ = ("pred", "args", "_hash", "_digest")
 
     def __init__(self, pred, args):
         if not isinstance(pred, str) or not pred:

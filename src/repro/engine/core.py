@@ -59,6 +59,7 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.coql.parser import parse_coql
+from repro.coql.containment import as_schema
 from repro.coql.encode import paired_encoding, shapes_compatible
 from repro.coql.family import contains_union, union_branches
 from repro.grouping.simulation import is_simulated
@@ -135,8 +136,6 @@ classify_many`: labels are cached in the pipeline's store under the
     interleaved ``(candidate, query), (query, candidate)`` containment
     checks with errors captured.
     """
-    from repro.coql.containment import as_schema
-
     schema = as_schema(schema)
     if isinstance(query, str):
         query = pipeline.parse(query)
@@ -371,8 +370,6 @@ class ContainmentEngine:
         """The memoized saturation hook for *constraints*, or None."""
         if not constraints:
             return None
-        from repro.coql.containment import as_schema
-
         schema = as_schema(schema)
         pipeline = self._pipeline
         return lambda atoms: pipeline.chase(atoms, constraints, schema)
@@ -539,8 +536,6 @@ class ContainmentEngine:
         incomparability; one that is merely not contained returns
         False.
         """
-        from repro.coql.containment import as_schema
-
         schema_items = tuple(sorted(as_schema(schema).items()))
         with self.tracer().span(
             "reduce_union", sub_branches=len(sub_branches),
@@ -562,7 +557,11 @@ class ContainmentEngine:
                         break
                 if not covered:
                     if len(errors) == len(sup_branches):
-                        raise errors[0]
+                        # errors[0] may be the instance cached under
+                        # branch_verdict: raising it would grow its
+                        # traceback (and pin the frames) on every repeat.
+                        cached = errors[0]
+                        raise type(cached)(*cached.args, span=cached.span)
                     return False
             return True
 
@@ -580,6 +579,9 @@ class ContainmentEngine:
         if method is None:
             method = self._default_method
         constraints = self._resolve_constraints(constraints)
+        # Normalized once, so every prepare of this check keys on the
+        # same RecordType objects and their memoized digests.
+        schema = as_schema(schema)
         with self._check("contains"):
             self._stats.tally("contains_calls")
             if self._analyze:
@@ -614,6 +616,7 @@ class ContainmentEngine:
         if method is None:
             method = self._default_method
         constraints = self._resolve_constraints(constraints)
+        schema = as_schema(schema)
         with self._check("weakly_equivalent"):
             self._stats.tally("equivalence_calls")
             first_branches = self._family(q1)

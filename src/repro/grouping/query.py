@@ -36,7 +36,10 @@ __all__ = ["GroupingNode", "GroupingQuery", "truncation_problems"]
 class GroupingNode(PicklableSlots):
     """One set node of a grouping-query tree.  Immutable."""
 
-    __slots__ = ("label", "own_atoms", "values", "index", "children", "_hash")
+    __slots__ = (
+        "label", "own_atoms", "values", "index", "children", "_hash",
+        "_digest",
+    )
 
     def __init__(self, label, own_atoms, values, index=(), children=()):
         own_atoms = tuple(own_atoms)
@@ -119,7 +122,7 @@ class GroupingNode(PicklableSlots):
 class GroupingQuery(PicklableSlots):
     """A grouping-query tree with validation and traversal helpers."""
 
-    __slots__ = ("name", "root")
+    __slots__ = ("name", "root", "_digest")
 
     def __init__(self, root, name="q"):
         if not isinstance(root, GroupingNode):
@@ -281,9 +284,13 @@ class GroupingQuery(PicklableSlots):
         silently, turning a caller-side mismatch into a wrong truncation
         (and hence a wrong containment obligation).  Used by the COQL
         containment test to generate the per-emptiness-pattern
-        simulation obligations.
+        simulation obligations.  A pattern that keeps every path returns
+        ``self``, so the full obligation reuses the query's memoized
+        content digest instead of fingerprinting an equal copy.
         """
         kept = set(kept_paths)
+        if kept == self.paths().keys():
+            return self
         problems = truncation_problems(self, kept)
         if problems:
             raise ReproError(problems[0][0])

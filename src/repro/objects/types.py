@@ -53,7 +53,7 @@ ATOM = AtomType()
 class RecordType(PicklableSlots):
     """The type of records; maps attribute names to component types."""
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_fields", "_hash", "_digest")
 
     def __init__(self, fields):
         items = tuple(sorted(dict(fields).items()))
@@ -109,7 +109,7 @@ class RecordType(PicklableSlots):
 class SetType(PicklableSlots):
     """The type of finite sets with a given element type."""
 
-    __slots__ = ("element", "_hash")
+    __slots__ = ("element", "_hash", "_digest")
 
     def __init__(self, element):
         if not _is_type(element):

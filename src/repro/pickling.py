@@ -11,7 +11,11 @@ processes and verdicts back.
 
 The mixin contributes no slots of its own, so subclasses keep their
 exact memory layout; it collects slot names across the whole MRO, so it
-works for any depth of (single-inheritance) subclassing.
+works for any depth of (single-inheritance) subclassing.  The
+``_digest`` slot, the content-digest memo of
+:mod:`repro.pipeline.fingerprint`, is never pickled: a digest restored
+in another process or from disk would outlive a change to the encoder
+that computed it, so the copy recomputes its own on first use.
 """
 
 __all__ = ["PicklableSlots"]
@@ -28,7 +32,7 @@ class PicklableSlots:
             for name in getattr(klass, "__slots__", ()):
                 # Optional slots (e.g. the parser-attached source span)
                 # may never have been filled in.
-                if hasattr(self, name):
+                if name != "_digest" and hasattr(self, name):
                     state[name] = getattr(self, name)
         return state
 

@@ -28,8 +28,19 @@ canonical NaN (so NaN-carrying inputs still key deterministically);
 ints and floats keep distinct tags, so ``1`` and ``1.0`` never collide.  Immutable
 ``__slots__`` value objects (AST nodes, terms, grouping queries, types)
 are encoded as their class name plus slot values — skipping the
-``_hash`` memo slots and the parser-attached ``_span`` metadata, which
-by design never participate in equality.
+``_hash`` and ``_digest`` memo slots and the parser-attached ``_span``
+metadata, which by design never participate in equality.
+
+Digest memo: the value classes that key derivation walks (COQL
+``Expr`` nodes, ``Atom``, ``ConjunctiveQuery``, ``GroupingNode``,
+``GroupingQuery``, ``RecordType``, ``SetType``) declare a ``_digest``
+slot, filled on an object's first fingerprint and returned on every
+later one.  The memo therefore lives and dies with its object: there
+is no process-wide table to bound, clear or keep objects alive.  The
+slot is never pickled (:class:`repro.pickling.PicklableSlots` skips
+it), because a digest restored from disk or shipped to a worker would
+outlive a change to this encoder.  Classes without the slot are
+encoded afresh on every call.
 """
 
 import hashlib
@@ -37,32 +48,42 @@ import struct
 
 __all__ = ["fingerprint", "artifact_key"]
 
+_UNSET = object()
+
 #: Slot names that are memoization / provenance metadata, never content.
-_METADATA_SLOTS = frozenset({"_hash", "_span"})
+_METADATA_SLOTS = frozenset({"_hash", "_span", "_digest"})
 
-#: Digest memo for the immutable ``__slots__`` value objects.  Keyed by
-#: ``id(obj)`` with a strong reference to the object stored alongside,
-#: which makes the id-key safe: the object cannot be collected while its
-#: entry exists, so the id cannot be recycled onto a different object.
-#: Bounded by wholesale clearing — entries are tiny and the working set
-#: (atoms, terms, grouping nodes of live queries) is small, so a rare
-#: full rebuild beats per-entry eviction bookkeeping.  This is what
-#: keeps warm store lookups cheap: a cached query fingerprints in
-#: near-constant time instead of re-walking its whole object graph.
-_DIGEST_MEMO = {}
-_DIGEST_MEMO_LIMIT = 16384
+#: ``{class: (header, ((slot name, encoded name), ...), memoized)}``:
+#: the encoding's per-class constants, derived once from the MRO.
+#: *memoized* says whether the class has a ``_digest`` slot.  Classes
+#: are few and never change, so the table needs no bound.
+_LAYOUTS = {}
 
 
-def _slot_names(klass):
-    seen = set()
-    names = []
-    for base in klass.__mro__:
-        for name in getattr(base, "__slots__", ()):
-            if name in seen or name in _METADATA_SLOTS:
-                continue
-            seen.add(name)
-            names.append(name)
-    return names
+def _encoded_str(text):
+    data = text.encode("utf-8")
+    return b"S" + struct.pack(">I", len(data)) + data
+
+
+def _layout(klass):
+    layout = _LAYOUTS.get(klass)
+    if layout is None:
+        declared = [
+            name
+            for base in klass.__mro__
+            for name in getattr(base, "__slots__", ())
+        ]
+        slots = tuple(
+            (name, _encoded_str(name))
+            for name in dict.fromkeys(declared)
+            if name not in _METADATA_SLOTS
+        )
+        data = ("%s.%s" % (klass.__module__, klass.__qualname__)).encode(
+            "utf-8"
+        )
+        header = b"O" + struct.pack(">I", len(data)) + data
+        layout = _LAYOUTS[klass] = (header, slots, "_digest" in declared)
+    return layout
 
 
 def _feed(hasher, obj):
@@ -86,8 +107,7 @@ def _feed(hasher, obj):
         else:
             hasher.update(b"F" + struct.pack(">d", obj + 0.0))
     elif isinstance(obj, str):
-        data = obj.encode("utf-8")
-        hasher.update(b"S" + struct.pack(">I", len(data)) + data)
+        hasher.update(_encoded_str(obj))
     elif isinstance(obj, bytes):
         hasher.update(b"Y" + struct.pack(">I", len(obj)) + obj)
     elif isinstance(obj, tuple):
@@ -121,22 +141,24 @@ def _feed(hasher, obj):
 
 
 def _slots_digest(obj):
-    entry = _DIGEST_MEMO.get(id(obj))
-    if entry is not None and entry[0] is obj:
-        return entry[1]
+    header, slots, memoized = _layout(type(obj))
+    if memoized:
+        digest = getattr(obj, "_digest", None)
+        if digest is not None:
+            return digest
     hasher = hashlib.sha256()
-    name = "%s.%s" % (type(obj).__module__, type(obj).__qualname__)
-    data = name.encode("utf-8")
-    hasher.update(b"O" + struct.pack(">I", len(data)) + data)
-    for slot in _slot_names(type(obj)):
+    hasher.update(header)
+    for slot, encoded_name in slots:
         # Optional slots may never have been filled in.
-        if hasattr(obj, slot):
-            _feed(hasher, slot)
-            _feed(hasher, getattr(obj, slot))
+        value = getattr(obj, slot, _UNSET)
+        if value is not _UNSET:
+            hasher.update(encoded_name)
+            _feed(hasher, value)
     digest = hasher.digest()
-    if len(_DIGEST_MEMO) >= _DIGEST_MEMO_LIMIT:
-        _DIGEST_MEMO.clear()
-    _DIGEST_MEMO[id(obj)] = (obj, digest)
+    if memoized:
+        # Racing threads store the same bytes: the digest is a pure
+        # function of the object's immutable content.
+        object.__setattr__(obj, "_digest", digest)
     return digest
 
 

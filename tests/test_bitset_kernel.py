@@ -89,7 +89,7 @@ class TestHypothesisDifferential:
 
 
 class TestAdversaryDifferential:
-    def test_padded_pigeonhole_identical_refutation(self):
+    def test_kernel_counts_on_padded_pigeonhole(self):
         # The E11 adversary instance: the clique component is refuted
         # once, after which the padding component is never searched.
         source, target = padded_pigeonhole(5, 2, 4)
@@ -101,7 +101,7 @@ class TestAdversaryDifferential:
         assert counters.components_solved == 1
         assert counters.mask_intersections == 902
 
-    def test_satisfiable_pigeonhole_identical_enumeration(self):
+    def test_kernel_and_oracle_enumerate_pigeonhole(self):
         # K_4 into frozen K_4: satisfiable, many homomorphisms — the
         # order-sensitive half of the adversary family.
         source, target = padded_pigeonhole(4, 2, 3)

@@ -4,12 +4,18 @@ guarantee (module-level prepare == the engine's pipeline, uncached)."""
 
 import json
 import multiprocessing
+import pickle
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.coql.containment import prepare
+from repro.coql.containment import as_schema, prepare
+from repro.coql.parser import parse_coql
 from repro.engine import ContainmentEngine
+from repro.grouping.query import GroupingNode
+from repro.objects.types import ATOM, RecordType, SetType
 from repro.pipeline import (
     MISSING,
     STAGES,
@@ -38,6 +44,72 @@ DEPTH3 = (
     " from y in s where y.k = x.a]"
     " from x in r"
 )
+DEPTH3_SUP = (
+    "select [a: x.a,"
+    " mids: select [k: y.k,"
+    "  leaves: select [b: z.b] from z in s]"
+    " from y in s]"
+    " from x in r"
+)
+
+#: Store keys computed by the encoder before the per-object digest memo
+#: existed.  Persisted SQLite rows are found under these exact bytes, so
+#: any change here orphans every durable artifact.
+GOLDEN_KEYS = {
+    "ast": "f68fa57c9fa26596a84fe1c22712e9aa3604f4373634837080cc5a4c9a532dd3",
+    "prepare":
+        "7fb98900b2e148ed37792e8fd5d93f78b57d12427ef5c414610aa980cea4443b",
+    "grouping":
+        "c4b646e503fb276ce9202f9904ae5c63886307d9c831877f3ad0c3b42b81397f",
+    "flat_cq":
+        "558e38effac11c297c358b2b21b70f7559acbf07870537b404db0f66a0790a9a",
+    "set_type":
+        "e5b4210fe6d0e21e36c705a569e4d671798b36abb9458510543219572d11f4aa",
+    "nonempty":
+        "c27c250d4868ca0a9cb50d7bad3fc7983789095dc1b4b247eb8ec5db236a9ed1",
+    "obligation_verdicts":
+        "46981e5598102d87ca8f41ba5e3fb4a9c48cac3dbe7c5c968b0fbd153940a8aa",
+    "negative_zero":
+        "eca064bd913f4c9c66a99f201d9f10bcbfeeeee3682e977c120427e6b23fc291",
+    "nan": "3c9cc96fa5bccbc9ac2c972e856d95f253ec4054a42f1cf9743dffbb5d0c8b32",
+    "tuple":
+        "1212773f0742b17f6c3926d2f06ec2d3fb304b44f88d4b9e1f554d2bd5250e6e",
+    "list": "c5bb29821d57b13087914ae3a49a665c177637a44edab5ee901dec6a2459bb8c",
+    "dict": "d3d3ff88ecd12aa193a94dad4e5c9942bf12f42eb1326122d399e7fa23f47f57",
+    "frozenset":
+        "55df4b1dbe6a4c440fca3516fa18e219dba8eea097d3b98701b207e84d38173a",
+}
+
+
+def _golden_corpus():
+    """Freshly built inputs for every :data:`GOLDEN_KEYS` entry."""
+    ast = parse_coql(DEPTH3)
+    sub = prepare(DEPTH3, SCHEMA, "sub").query
+    sup = prepare(DEPTH3_SUP, SCHEMA, "sup").query
+    partial = {(), ("mids",)}
+    nested = SetType(RecordType({
+        "a": ATOM, "s": SetType(RecordType({"b": ATOM})),
+    }))
+    return {
+        "ast": lambda: artifact_key("ast", ast),
+        "prepare": lambda: Pipeline().prepare_key(ast, SCHEMA, "q"),
+        "grouping": lambda: artifact_key("grouping", sub),
+        "flat_cq": lambda: artifact_key(
+            "flat_cq", sub.to_flat_cq(("mids",))
+        ),
+        "set_type": lambda: artifact_key("type", nested),
+        "nonempty": lambda: artifact_key("nonempty", sub, ("mids",)),
+        "obligation_verdicts": lambda: artifact_key(
+            "obligation_verdicts", sub.truncate(partial),
+            sup.truncate(partial), None, "certificate",
+        ),
+        "negative_zero": lambda: artifact_key("k", -0.0),
+        "nan": lambda: artifact_key("k", float("nan")),
+        "tuple": lambda: artifact_key("k", ("a", 1)),
+        "list": lambda: artifact_key("k", ["a", 1]),
+        "dict": lambda: artifact_key("k", {"b": 2, "a": 1.5}),
+        "frozenset": lambda: artifact_key("k", frozenset({"x", 3, None})),
+    }
 
 
 # -- ArtifactStore semantics (the old _LRUCache contract) ---------------
@@ -399,6 +471,103 @@ class TestFingerprint:
                 _key_in_subprocess, DEPTH3, SCHEMA, "q"
             ).result()
         assert engine.store().lookup("prepare", key) is not MISSING
+
+    def test_golden_keys_are_stable(self):
+        # Each key twice: the first derivation fills the digest memos of
+        # the freshly built objects, the second reads them back.
+        corpus = _golden_corpus()
+        assert sorted(corpus) == sorted(GOLDEN_KEYS)
+        for name, derive in corpus.items():
+            assert derive() == GOLDEN_KEYS[name], name
+            assert derive() == GOLDEN_KEYS[name], name
+
+    def test_pickles_never_carry_the_digest_memo(self):
+        def corpus():
+            query = prepare(DEPTH3, SCHEMA).query
+            return [
+                parse_coql(DEPTH3),
+                query,
+                query.root,
+                query.root.own_atoms[0],
+                query.to_flat_cq(("mids",)),
+                as_schema(SCHEMA)["r"],
+                SetType(RecordType({"b": ATOM})),
+            ]
+
+        used = corpus()
+        for obj in used:
+            fingerprint(obj)
+        for seen, fresh in zip(used, corpus()):
+            assert pickle.dumps(seen) == pickle.dumps(fresh), seen
+
+    def test_full_truncation_is_the_query_itself(self):
+        query = prepare(DEPTH3, SCHEMA).query
+        assert query.truncate(query.paths()) is query
+        assert query.truncate({(), ("mids",)}) is not query
+
+    def test_warm_full_pattern_check_builds_no_grouping_nodes(
+        self, monkeypatch
+    ):
+        # LINKED's nested set is provably non-empty, so its only
+        # obligation pattern keeps every path.
+        engine = ContainmentEngine()
+        query = engine.prepare(LINKED, SCHEMA).query
+        patterns = engine.pipeline().enumerate_obligations(query)
+        assert patterns == [frozenset(query.paths())]
+        assert engine.contains(LINKED, LINKED, SCHEMA) is True
+        built = []
+        init = GroupingNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupingNode, "__init__", counting_init)
+        for __ in range(3):
+            assert engine.contains(LINKED, LINKED, SCHEMA) is True
+        assert built == []
+
+    def test_concurrent_first_fingerprints_agree(self):
+        from repro.workloads.generators import random_coql_deep
+
+        texts = [random_coql_deep(seed=seed, depth=4) for seed in range(6)]
+        texts += [LINKED, WIDER, DEPTH3]
+
+        def build():
+            encoded = [prepare(text, SCHEMA) for text in texts]
+            return [parse_coql(text) for text in texts] + [
+                item.query for item in encoded if not item.is_empty
+            ]
+
+        expected = [fingerprint(obj) for obj in build()]
+        shared = build()
+        workers = 8
+        results = [None] * workers
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def work(slot):
+            order = list(range(len(shared)))
+            if slot % 2:
+                order.reverse()
+            barrier.wait()
+            digests = {index: fingerprint(shared[index]) for index in order}
+            results[slot] = [digests[i] for i in range(len(shared))]
+
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(workers)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * workers
 
 
 # -- one prepare implementation -----------------------------------------

@@ -257,13 +257,13 @@ class TestComponentDecomposition:
 
 
 class TestAdversary:
-    def test_pigeonhole_refuted_by_every_strategy(self):
+    def test_kernel_and_oracle_refute_pigeonhole(self):
         # Both the kernel and the naive source-order oracle refute it.
         source, target = padded_pigeonhole(4, 2, 3)
         assert find_homomorphism(source, target) is None
         assert not ORACLE.exist_homomorphism(source, target)
 
-    def test_propagating_visits_strictly_fewer_nodes(self, counters):
+    def test_kernel_visits_at_most_half_the_oracle_nodes(self, counters):
         source, target = padded_pigeonhole(5, 2, 4)
         assert find_homomorphism(source, target) is None
         kernel_nodes = counters.nodes
@@ -280,7 +280,7 @@ class TestAdversary:
         assert counters.domain_wipeouts > 0
         assert counters.components_solved >= 1
 
-    def test_satisfiable_clique_found_by_every_strategy(self):
+    def test_kernel_and_oracle_find_satisfiable_clique(self):
         # K_4 into K_4 has homomorphisms; the kernel and the oracle
         # agree on the set.
         source = clique_source(4)
@@ -313,7 +313,7 @@ class TestDifferentialEquivalence:
             out.append((source_q.body, target))
         return out
 
-    def test_all_orderings_enumerate_the_same_set(self):
+    def test_kernel_and_oracle_enumerate_the_same_set(self):
         compared = 0
         nonempty = 0
         for source, target in self.pairs():
@@ -326,7 +326,7 @@ class TestDifferentialEquivalence:
         assert compared == 100
         assert nonempty >= 25  # the family is not vacuously unsatisfiable
 
-    def test_all_orderings_agree_under_fixed_and_allowed(self):
+    def test_kernel_and_oracle_agree_with_fixed_allowed(self):
         compared = 0
         for source, target in self.pairs()[:50]:
             variables = sorted(

@@ -8,6 +8,8 @@ evaluation, Sagiv–Yannakakis verdicts on both engines with
 persistence of the new artifact kinds through the SQLite tier.
 """
 
+import traceback
+
 import pytest
 
 from repro.coql import (
@@ -163,6 +165,27 @@ class TestEngineVerdicts:
         with ParallelContainmentEngine(jobs=2, timeout_s=120.0) as engine:
             assert engine.contains(UNION_RS, R_BRANCH, SCHEMA) is True
             assert engine.contains(R_BRANCH, UNION_RS, SCHEMA) is False
+
+    def test_cached_incomparability_is_raised_fresh(self):
+        # Every sub branch is incomparable with the only sup branch, so
+        # the reduction raises the incomparability cached under
+        # branch_verdict.  Raising that cached instance itself grew its
+        # traceback on every repeat and kept the frames alive.
+        wide = "select [a: x.a, b: x.b] from x in r"
+        schema = {"r": ("a", "b"), "s": ("a", "b")}
+        with ParallelContainmentEngine(jobs=1) as parallel:
+            for contains in (ContainmentEngine().contains, parallel.contains):
+                raised = []
+                depths = set()
+                for __ in range(5):
+                    with pytest.raises(IncomparableQueriesError) as excinfo:
+                        contains(wide, UNION_RS, schema)
+                    raised.append(excinfo.value)
+                    depths.add(len(traceback.extract_tb(excinfo.tb)))
+                assert len(depths) == 1, depths
+                assert len({str(exc) for exc in raised}) == 1
+                assert len({exc.span for exc in raised}) == 1
+                assert len({id(exc) for exc in raised}) == len(raised)
 
 
 class TestChaseFlip:
