@@ -9,7 +9,7 @@ unsound bound is a bug in the abstract interpreter, not noise.
 
 Cases span the three regimes the certificate must cover: a benign
 nested containment through the full engine (patterns, witness
-escalation, non-emptiness tests), a truncation-pattern case split
+stages, non-emptiness tests), a truncation-pattern case split
 (optional nested component), and the pigeonhole simulation adversary
 where the bound is astronomically loose but must still dominate.
 """
@@ -70,8 +70,8 @@ ENGINE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_certificate_sound_on_engine_checks(benchmark, case):
-    """Full ``engine.contains`` (patterns + escalation + non-emptiness
-    tests) never exceeds the certificate's bound."""
+    """Full ``engine.contains`` (patterns + witness stages +
+    non-emptiness tests) never exceeds the certificate's bound."""
     sup, sub, expected = ENGINE_CASES[case]
     certificate = ContainmentEngine().cost_certificate(
         sub, SCHEMA, against=sup

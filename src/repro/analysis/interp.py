@@ -839,6 +839,14 @@ class CostCertificate:
 
 
 def _witness_stages(sup: Any, witnesses: Optional[int]) -> Tuple[int, ...]:
+    """The witness counts whose searches the bound sums.
+
+    ``None`` gives two stages, one copy and then ``max(1, |vars(sup)|)``.
+    An unconstrained check searches only the first (the retraction
+    lemma, DESIGN.md §2), but a check under inclusion dependencies
+    still escalates to the second, and the certificate takes no
+    constraints: two stages stay the sound upper bound for both.
+    """
     if witnesses is not None:
         return (max(1, int(witnesses)),)
     escalated = max(1, len(sup.variables()))
@@ -858,8 +866,8 @@ def pair_certificate(
 
     *sub* and *sup* must have the same path set (the engine aligns them
     with ``paired_encoding`` before calling this).  *witnesses* pins a
-    single witness stage; ``None`` models the engine's incremental
-    escalation (stage 1 then ``max(1, |vars(sup)|)``).  *is_nonempty*
+    single witness stage; ``None`` bounds the engine's default schedule
+    by both of its possible stages (see :func:`_witness_stages`).  *is_nonempty*
     replaces the module-level non-emptiness test — pass the engine's
     memoized version so the certificate enumerates exactly the
     obligation patterns the engine will.

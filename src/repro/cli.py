@@ -654,8 +654,10 @@ def build_parser():
                    help="superquery to certify the check against "
                         "(default: the query itself)")
     p.add_argument("--witnesses", type=int, default=None,
-                   help="pin the witness-copy stage (default: model the "
-                        "engine's 1-then-escalate schedule)")
+                   help="pin the witness-copy stage (default: bound one "
+                        "copy plus the completeness bound, the schedule "
+                        "of a check under constraints; an unconstrained "
+                        "check searches only the first)")
     p.add_argument("--budget", type=int, default=None,
                    help="exit 1 when a certificate's total node bound "
                         "exceeds this")

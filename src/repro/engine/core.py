@@ -23,10 +23,10 @@ exactly those boundaries:
 * compiled simulation targets (``targets``, the witness-augmented
   canonical database plus its inverted index, see
   :class:`repro.grouping.simulation.SimulationTarget`) are memoized per
-  *(grouping query, witnesses)* — witness escalation, repeated checks
-  against one side, ``pairwise_matrix`` rows and the weak-equivalence
-  truncation sweep all reuse the compiled target instead of rebuilding
-  and re-indexing it.
+  *(grouping query, witnesses)* — constrained witness escalation,
+  repeated checks against one side, ``pairwise_matrix`` rows and the
+  weak-equivalence truncation sweep all reuse the compiled target
+  instead of rebuilding and re-indexing it.
 
 Keys are content hashes (:mod:`repro.pipeline.fingerprint`), not object
 identities: the same query text and schema name the same artifact in
@@ -208,7 +208,9 @@ class ContainmentEngine:
     plus caching across calls, :meth:`stats`, and :meth:`tracer`.
 
     :param witnesses: default witness-copy count for simulation searches
-        (None = the incremental strategy).
+        (None = one copy, which decides an unconstrained check; a check
+        under *constraints* escalates to the completeness bound when one
+        copy fails).
     :param method: default decision method, ``"certificate"`` or
         ``"canonical"``.
     :param prepare_cache_size: entries in the ``prepare`` artifact
@@ -671,7 +673,7 @@ class ContainmentEngine:
         An instrumented, target-cached wrapper over
         :func:`repro.grouping.simulation.is_simulated`: search effort
         lands in :meth:`stats` and the compiled simulation target for
-        *sub* is reused across calls (and across witness escalation).
+        *sub* is reused across calls.
         The parallel engine's workers decide their shards through this
         entry point so every shard sharing a subquery compiles its
         target once.

@@ -13,7 +13,10 @@ ContainmentEngine` observes while deciding containment questions:
 * **search effort** — homomorphism search nodes, backtracks, domain
   wipeouts and components solved, reported by
   :class:`repro.cq.homomorphism.SearchCounters`, plus
-  ``certificate_searches``, ``witness_escalations`` and
+  ``certificate_searches`` (searches over a simulation target; a
+  value-pinning refutation runs none), ``witness_escalations`` (checks
+  under inclusion dependencies only: an unconstrained check decides
+  with one witness copy) and
   ``target_cache_hits``/``target_cache_misses`` (compiled
   simulation-target reuse) from :mod:`repro.grouping.simulation`;
 * **per-stage wall time** — seconds spent in ``parse``, ``typecheck``,

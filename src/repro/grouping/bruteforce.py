@@ -76,9 +76,13 @@ def semantic_simulates(sub, sup, database, max_choices=2000000):
             return False
         n_children = len(sub_node.children)
         # Distinct sub child keys per child position (active rows only).
-        used = [sorted({row[1][c] for row in sub_rows}) for c in range(n_children)]
+        used = [
+            sorted({row[1][c] for row in sub_rows}, key=_key_order)
+            for c in range(n_children)
+        ]
         sup_keys = [
-            sorted({row[1][c] for row in sup_rows}) for c in range(n_children)
+            sorted({row[1][c] for row in sup_rows}, key=_key_order)
+            for c in range(n_children)
         ]
         # Candidate images per (child position, sub child key).
         slots = []
@@ -99,6 +103,12 @@ def semantic_simulates(sub, sup, database, max_choices=2000000):
         return result
 
     return coverable((), (), ())
+
+
+def _key_order(key):
+    """A total sort key for index keys: one key may mix generic values
+    (strings) with integer constants, which do not compare directly."""
+    return tuple((type(value).__name__, value) for value in key)
 
 
 def _active_rows(query, groups):

@@ -30,7 +30,13 @@ uniform across all rows of the group, and φ extends every row assignment
 to a proof of membership in the chosen Q'-group.  Completeness: on the
 canonical database "generic row + k interchangeable witness rows per
 group", an automorphism/pigeonhole argument relocates any semantic
-covering onto a certificate, for ``k = |vars(Q')|``.
+covering onto a certificate, for ``k = |vars(Q')|``.  One copy then
+suffices: renaming every witness copy onto copy 0 retracts the k-copy
+target onto the one-copy target and keeps conditions (1)–(3), so a
+certificate exists for some k ≥ 1 iff it exists for k = 1 (the
+retraction lemma, DESIGN.md §2).  The default search therefore runs
+once, at k = 1; only a check under a chase hook, whose saturation is
+capped, still escalates to the bound.
 
 The procedures here are validated against independent semantic checks in
 :mod:`repro.grouping.bruteforce` (see tests).
@@ -191,9 +197,9 @@ def simulation_target(sub, witnesses, cache=None, stats=None, chase=None,
     :param cache: optional mapping-like store (``get``/``__setitem__``)
         keyed on ``(sub, witnesses)`` — the query's structural identity
         is its fingerprint.  The engine passes its LRU target cache here
-        so witness escalation, ``contains_many``, ``pairwise_matrix``,
-        and the weak-equivalence truncation sweep reuse targets instead
-        of rebuilding them.
+        so constrained witness escalation, ``contains_many``,
+        ``pairwise_matrix``, and the weak-equivalence truncation sweep
+        reuse targets instead of rebuilding them.
     :param stats: optional sink with a ``tally(name)`` method; receives
         ``target_cache_hits`` / ``target_cache_misses`` when *cache* is
         given.
@@ -222,8 +228,44 @@ def simulation_target(sub, witnesses, cache=None, stats=None, chase=None,
     return target
 
 
-def _value_of_sub_term(term):
-    return _generic_value(term) if is_var(term) else term.value
+def _pin_values(sub, sup):
+    """The value pins of every certificate for ``sub ⊴ sup``, or None.
+
+    Maps each value variable of *sup* to the frozen value of the aligned
+    column of *sub* (condition 2 of the module docstring).  Returns None
+    when two columns pin one variable to different values, or a constant
+    column of *sup* disagrees with *sub*'s: no certificate exists, with
+    any number of witness copies.  Reads no target.
+    """
+    fixed = {}
+    sub_paths = sub.paths()
+    for path, sup_node in sup.paths().items():
+        for (__, sup_term), (___, sub_term) in zip(
+            sup_node.values, sub_paths[path].values
+        ):
+            sub_value = (
+                _generic_value(sub_term) if is_var(sub_term) else sub_term.value
+            )
+            if is_var(sup_term):
+                if fixed.setdefault(sup_term, sub_value) != sub_value:
+                    return None
+            elif sup_term.value != sub_value:
+                return None
+    return fixed
+
+
+def _index_pools(sup, available):
+    """``{index variable of sup: values it may take}`` (condition 3).
+
+    A variable indexing several nodes takes the intersection of their
+    *available* pools (see :func:`build_simulation_target`).
+    """
+    allowed = {}
+    for path, sup_node in sup.paths().items():
+        pool = available[path]
+        for var in sup_node.index:
+            allowed[var] = allowed[var] & pool if var in allowed else set(pool)
+    return allowed
 
 
 def simulation_certificate(sub, sup, witnesses=None, stats=None, cache=None,
@@ -232,80 +274,61 @@ def simulation_certificate(sub, sup, witnesses=None, stats=None, cache=None,
 
     :param sub: the simulated :class:`GroupingQuery` (the "smaller").
     :param sup: the simulating query (the "larger").
-    :param witnesses: witness copies per node; defaults to
-        ``max(1, |vars(sup)|)``, the completeness bound.
+    :param witnesses: witness copies per node.  None (the default)
+        searches once with one copy, which decides by the retraction
+        lemma (DESIGN.md §2); under a chase hook it tries one copy and
+        escalates to the completeness bound ``max(1, |vars(sup)|)``
+        when that fails.
     :param stats: optional sink with a ``tally(name, amount=1)`` method
         (e.g. :class:`repro.engine.EngineStats`); receives
-        ``certificate_searches`` per concrete search and
-        ``witness_escalations`` when the incremental strategy falls back
-        to the completeness bound.
+        ``certificate_searches`` per search over a target and
+        ``witness_escalations`` when a constrained check falls back to
+        the completeness bound.
     :param cache: optional simulation-target cache (see
         :func:`simulation_target`), shared across the escalation retry
         and across calls.
     :param chase: optional chase hook, with *chase_key* its cache
         identity (see :func:`simulation_target`) — containment under
         inclusion dependencies.
+
+    Value pinning runs first: it reads no target, so a pinning clash
+    refutes before any target is built or looked up.
     """
     sub.require_same_shape(sup)
-    if witnesses is None:
-        # Incremental strategy: a certificate into a smaller target stays
-        # valid in a larger one, so try one witness copy first and fall
-        # back to the completeness bound only when needed.
-        bound = max(1, len(sup.variables()))
-        certificate = simulation_certificate(
-            sub, sup, witnesses=1, stats=stats, cache=cache,
-            chase=chase, chase_key=chase_key,
-        )
-        if certificate is not None or bound == 1:
-            return certificate
-        if stats is not None:
-            stats.tally("witness_escalations")
-        return simulation_certificate(
-            sub, sup, witnesses=bound, stats=stats, cache=cache,
-            chase=chase, chase_key=chase_key,
-        )
-    if witnesses < 0:
+    if witnesses is not None and witnesses < 0:
         raise ReproError("witnesses must be non-negative")
+    fixed = _pin_values(sub, sup)
+    if fixed is None:
+        return None
+
+    def search(copies):
+        return _search(sub, sup, fixed, copies, stats, cache, chase, chase_key)
+
+    if witnesses is not None:
+        return search(witnesses)
+    certificate = search(1)
+    bound = max(1, len(sup.variables()))
+    if certificate is not None or chase is None or bound == 1:
+        return certificate
+    # A chase hook caps saturation, so a larger target may truncate
+    # differently and the retraction lemma is not claimed: escalate.
+    if stats is not None:
+        stats.tally("witness_escalations")
+    return search(bound)
+
+
+def _search(sub, sup, fixed, witnesses, stats, cache, chase, chase_key):
+    """One certificate search into the *witnesses*-copy target."""
     if stats is not None:
         stats.tally("certificate_searches")
-
     target = simulation_target(
         sub, witnesses, cache=cache, stats=stats, chase=chase,
         chase_key=chase_key,
     )
-    available = target.available
-
-    sub_paths = sub.paths()
-    sup_paths = sup.paths()
-
-    # Pin the value columns of every node pair.
-    fixed = {}
-    for path, sup_node in sup_paths.items():
-        sub_node = sub_paths[path]
-        for (name, sup_term), (__, sub_term) in zip(
-            sup_node.values, sub_node.values
-        ):
-            sub_value = _value_of_sub_term(sub_term)
-            if is_var(sup_term):
-                if fixed.get(sup_term, sub_value) != sub_value:
-                    return None
-                fixed[sup_term] = sub_value
-            elif sup_term.value != sub_value:
-                return None
-
-    # Index variables of sup may only take stage-available values.
-    allowed = {}
-    for path, sup_node in sup_paths.items():
-        for var in sup_node.index:
-            pool = available[path]
-            if var in allowed:
-                allowed[var] = allowed[var] & pool
-            else:
-                allowed[var] = set(pool)
-
     sup_atoms = tuple(a for node in sup.nodes() for a in node.own_atoms)
     mapping = find_homomorphism(
-        sup_atoms, target.compiled, fixed=fixed, allowed=allowed
+        sup_atoms, target.compiled, fixed=fixed,
+        allowed=_index_pools(sup, target.available),
     )
     if mapping is None:
         return None
@@ -318,7 +341,7 @@ def simulation_certificate(sub, sup, witnesses=None, stats=None, cache=None,
         mapping.setdefault(var, value)
     index_choice = {
         path: tuple(mapping.get(v) for v in node.index)
-        for path, node in sup_paths.items()
+        for path, node in sup.paths().items()
     }
     return SimulationCertificate(mapping, witnesses, index_choice)
 

@@ -44,6 +44,8 @@ from repro.grouping.simulation import (
     SimulationCertificate,
     simulation_target,
     _generic_value,
+    _index_pools,
+    _pin_values,
     _witness_value,
 )
 
@@ -84,32 +86,17 @@ def strong_simulation_certificate(sub, sup, witnesses=None, max_candidates=None,
     """
     sub.require_same_shape(sup)
     if witnesses is None:
+        # The reverse checks read the witness copies, so the retraction
+        # lemma that lets plain simulation stop at one copy does not
+        # apply here: search at the completeness bound.
         witnesses = max(1, len(sup.variables()))
-
+    fixed = _pin_values(sub, sup)
+    if fixed is None:
+        return None
     target = simulation_target(sub, witnesses, cache=cache, stats=stats)
-    available = target.available
+    allowed = _index_pools(sup, target.available)
     sub_paths = sub.paths()
     sup_paths = sup.paths()
-
-    fixed = {}
-    for path, sup_node in sup_paths.items():
-        sub_node = sub_paths[path]
-        for (__, sup_term), (___, sub_term) in zip(sup_node.values, sub_node.values):
-            sub_value = (
-                _generic_value(sub_term) if is_var(sub_term) else sub_term.value
-            )
-            if is_var(sup_term):
-                if fixed.get(sup_term, sub_value) != sub_value:
-                    return None
-                fixed[sup_term] = sub_value
-            elif sup_term.value != sub_value:
-                return None
-
-    allowed = {}
-    for path, sup_node in sup_paths.items():
-        for var in sup_node.index:
-            pool = available[path]
-            allowed[var] = (allowed[var] & pool) if var in allowed else set(pool)
 
     sup_atoms = tuple(a for node in sup.nodes() for a in node.own_atoms)
     unfreeze = _build_unfreezer(sub, witnesses)

@@ -185,3 +185,26 @@ class TestChase:
     def test_arity_mismatch_is_an_error(self):
         with pytest.raises(SchemaError):
             chase_atoms([atom("r", 1)], self.deps("r[b] -> s[a]"))
+
+
+class TestConstrainedWitnessSchedule:
+    """With a chase hook the retraction lemma is not claimed, so a
+    constrained check still escalates from one copy to the bound."""
+
+    def test_failing_nested_pair_escalates_once(self):
+        from repro.engine import ContainmentEngine
+
+        engine = ContainmentEngine(constraints=(parse_constraint("r[a] -> s[a]"),))
+        sub = (
+            "select [a: x.a, kids: select [b: y.b] from y in r"
+            " where y.a = x.a] from x in r"
+        )
+        sup = (
+            "select [a: x.a, kids: select [b: y.b] from y in r"
+            " where y.a = x.a and y.b = x.b] from x in r"
+        )
+        assert engine.contains(sup, sub, SCHEMA) is False
+        stats = engine.stats()
+        assert stats.counter("obligations_checked") == 1
+        assert stats.counter("witness_escalations") == 1
+        assert stats.counter("certificate_searches") == 2

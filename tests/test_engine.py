@@ -177,6 +177,31 @@ class TestInstrumentation:
         assert "homomorphism_nodes" in text
 
 
+class TestWitnessSchedule:
+    """Unconstrained checks decide with one witness copy (the retraction
+    lemma, DESIGN.md §2), after a value-pinning pass that builds no
+    target."""
+
+    def test_cold_matrix_never_escalates(self):
+        engine = ContainmentEngine()
+        catalog = [random_coql_deep(seed=s, depth=2 + s % 2) for s in range(12)]
+        engine.pairwise_matrix(catalog, SCHEMA)
+        stats = engine.stats()
+        assert stats.counter("witness_escalations") == 0
+        assert stats.counter("obligations_checked") == 81
+
+    def test_pinning_refutation_builds_no_target(self):
+        # sup's x.a must equal both of sub's columns a and b: no
+        # certificate exists, whatever the target.
+        engine = ContainmentEngine()
+        sub = prepare("select [v: x.a, w: x.b] from x in r", SCHEMA).query
+        sup = prepare("select [v: x.a, w: x.a] from x in r", SCHEMA).query
+        assert engine.simulated(sub, sup) is False
+        stats = engine.stats()
+        assert stats.counter("target_cache_misses") == 0
+        assert stats.counter("certificate_searches") == 0
+
+
 class TestEngineStatsMerge:
     def test_merge_adds_every_field(self):
         left = EngineStats()

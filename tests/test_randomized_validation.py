@@ -10,6 +10,7 @@ extended sweeps run in CI's nightly/slow legs while the default case
 counts keep ordinary runs fast.
 """
 
+import itertools
 import os
 import random
 
@@ -26,7 +27,13 @@ from repro.aggregates import (
 )
 from repro.algebra import Pipeline, pipelines_equivalent
 from repro.coql import contains
-from repro.workloads import random_flat_database, random_coql
+from repro.grouping import is_simulated
+from repro.workloads import (
+    random_coql,
+    random_coql_deep,
+    random_flat_database,
+    random_grouping_query,
+)
 
 #: Sweep-width multiplier: 1 by default, larger under REPRO_SLOW_TESTS=1.
 SWEEP = 4 if os.environ.get("REPRO_SLOW_TESTS") == "1" else 1
@@ -222,3 +229,66 @@ class TestCoqlContainmentTransitivity:
                 assert contains(c, a, self.SCHEMA), (a, b, c)
         except IncomparableQueriesError:
             return
+
+
+class TestWitnessRetraction:
+    """One witness copy decides an unconstrained simulation check (the
+    retraction lemma, DESIGN.md §2): whether a certificate exists is the
+    same at k = 1, at k = 3, at the completeness bound, and under the
+    default schedule."""
+
+    SCHEMA = {"r": 2, "s": 2}
+    COQL_SCHEMA = {"r": ("a", "b"), "s": ("k", "b")}
+
+    def _verdict(self, sub, sup):
+        bound = max(1, len(sup.variables()))
+        verdicts = {
+            k: is_simulated(sub, sup, witnesses=k) for k in (1, 3, bound)
+        }
+        verdicts["default"] = is_simulated(sub, sup)
+        assert len(set(verdicts.values())) == 1, (sub, sup, verdicts)
+        return verdicts[1]
+
+    @pytest.mark.parametrize("seed", seeds(25))
+    def test_random_trees(self, seed):
+        # Certificates need a witness copy most often in trees without
+        # value columns: no pin fixes their variables.
+        for depth, branching, values in itertools.product(
+            (2, 3), (1, 2), (0, 1)
+        ):
+            q1, q2 = (
+                random_grouping_query(
+                    self.SCHEMA, seed=seed + offset, depth=depth,
+                    branching=branching, variables=4, values_per_node=values,
+                )
+                for offset in (0, 7000)
+            )
+            self._verdict(q1, q2)
+            self._verdict(q2, q1)
+
+    def test_catalog_obligations(self):
+        from repro.coql.containment import prepare
+        from repro.coql.encode import paired_encoding, shapes_compatible
+        from repro.pipeline import Pipeline as StagePipeline
+
+        catalog = [
+            prepare(random_coql_deep(seed=seed, depth=2 + seed % 2),
+                    self.COQL_SCHEMA)
+            for seed in seeds(10)
+        ]
+        pipeline = StagePipeline(store=None)
+        verdicts = []
+        for sub, sup in itertools.permutations(catalog, 2):
+            if sub.is_empty or sup.is_empty:
+                continue
+            if not shapes_compatible(sub.shape, sup.shape):
+                continue
+            sub_query, sup_query, __ = paired_encoding(sub, sup)
+            if sub_query is None:
+                continue
+            for pattern in pipeline.enumerate_obligations(sub_query):
+                verdicts.append(self._verdict(
+                    sub_query.truncate(pattern), sup_query.truncate(pattern)
+                ))
+        assert len(verdicts) >= 20
+        assert True in verdicts and False in verdicts

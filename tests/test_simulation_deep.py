@@ -13,6 +13,7 @@ from repro.workloads import (
     random_grouping_query,
     random_flat_database,
     random_coql,
+    random_coql_deep,
 )
 from repro.coql import contains
 
@@ -96,12 +97,35 @@ class TestCanonicalMethod:
 
     COQL_SCHEMA = {"r": ("a", "b"), "s": ("k", "b")}
 
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_methods_agree(self, depth):
+    #: (sub, sup) pairs whose index keys mix generic values with integer
+    #: constants, which the oracle once failed to sort: a depth-2 pair
+    #: and a depth-3 ``random_coql_deep`` pair.
+    CONSTANT_PAIRS = (
+        (
+            "select [v0: r1.a, inner0: (select [v1: r2.a] from r2 in r"
+            " where r2.b = 1)] from r1 in r",
+            "select [v0: r1.a, inner0: (select [v1: r2.b] from r2 in r"
+            " where r2.b = r1.b)] from r1 in r",
+        ),
+        (
+            random_coql_deep(seed=2, depth=3),
+            random_coql_deep(seed=3002, depth=3),
+        ),
+    )
+
+    @pytest.mark.parametrize("inputs", [1, 2, "constants"])
+    def test_methods_agree(self, inputs):
+        if inputs == "constants":
+            pairs, least = self.CONSTANT_PAIRS, len(self.CONSTANT_PAIRS)
+        else:
+            pairs = [
+                (random_coql(seed=seed, depth=inputs),
+                 random_coql(seed=seed + 3000, depth=inputs))
+                for seed in range(12)
+            ]
+            least = 6
         compared = 0
-        for seed in range(12):
-            q1 = random_coql(seed=seed, depth=depth)
-            q2 = random_coql(seed=seed + 3000, depth=depth)
+        for q1, q2 in pairs:
             try:
                 by_certificate = contains(q2, q1, self.COQL_SCHEMA)
             except IncomparableQueriesError:
@@ -111,7 +135,7 @@ class TestCanonicalMethod:
             )
             assert by_certificate is by_canonical, (q1, q2)
             compared += 1
-        assert compared >= 6
+        assert compared >= least
 
     def test_unknown_method_rejected(self):
         from repro.errors import UnsupportedQueryError
