@@ -28,7 +28,9 @@ representation.
 * **Forward checking** — each assignment prunes the candidate sets
   of the still-unsolved atoms that share a just-bound variable by mask
   intersection; a pruned-to-empty set (a *domain wipeout*) backtracks
-  immediately instead of rediscovering the conflict atoms later.
+  immediately instead of rediscovering the conflict atoms later.  Each
+  variable's *watch list* names the atoms that mention it, so a
+  binding visits only those.
 * **Component decomposition** — after ``fixed``/constant substitution
   the source atoms split into connected components (atoms linked by
   shared unbound variables); each component is solved independently and
@@ -39,14 +41,16 @@ representation.
 
 Candidate sets are arbitrary-precision Python ints (intersection is
 ``&``, emptiness is ``== 0``, cardinality is a cached
-``.bit_count()``), trail entries are ``(position, old mask, old
-count)`` tuples, and each source atom gets an :class:`_AtomPlan` with a
-**generated matcher closure** that fuses its constant-position checks
-and repeated-variable equalities into straight-line code — no per-row
-``isinstance``/``zip`` interpretation.  Row enumeration walks set bits
-in ascending row-id order, which is exactly insertion order.  The
-naive source-order backtracker in ``tests/naive_homomorphism.py`` is
-the independent oracle this kernel is differentially tested against.
+``.bit_count()``), and trail entries are ``(atom, old mask, old
+count)`` tuples.  Each component is compiled once, before its search,
+into **integer variable slots**: the assignment is a list indexed by
+slot, each atom holds its constant and ``fixed`` checks and its
+``(slot, positions)`` entries, and each slot holds its watch list with
+the mask columns of its positions — no ``Var`` is hashed on the hot
+path.  Row enumeration walks set bits in ascending row-id order, which
+is exactly insertion order.  The naive source-order backtracker in
+``tests/naive_homomorphism.py`` is the independent oracle this kernel
+is differentially tested against.
 
 Search effort is reported through :class:`SearchCounters` (installed
 process-wide with :func:`install_search_counters`): ``nodes`` and
@@ -237,74 +241,29 @@ def _ids_to_mask(row_ids):
 # -- the kernel ---------------------------------------------------------------
 #
 # A candidate set is one arbitrary-precision int (bit i set <=> target
-# row i is still viable), and each source atom carries a matcher closure
-# generated once — straight-line code for its constant positions and
-# repeated variables instead of a per-row zip/isinstance interpreter.
-# Enumeration walks set bits lowest-first, i.e. ascending row id, i.e.
-# target insertion order.
+# row i is still viable).  Each connected component is compiled once,
+# before its search, into integer variable slots (see
+# _solve_component_masks).  Enumeration walks set bits lowest-first,
+# i.e. ascending row id, i.e. target insertion order.
 
 
 class _AtomPlan:
-    """One source atom compiled for the kernel.
+    """One source atom's argument layout.
 
     ``const_positions`` is ``((position, value), ...)`` for the atom's
     constant arguments; ``var_positions`` is ``((var, (positions, ...)),
-    ...)`` in first-occurrence order, one entry per distinct variable;
-    ``match`` is the generated matcher closure — ``match(row, binding)``
-    returns the ``{Var: value}`` extension or None, fusing constant
-    checks, repeated-variable equality, and binding consistency.
+    ...)`` in first-occurrence order, one entry per distinct variable.
     """
 
-    __slots__ = ("const_positions", "var_positions", "match")
+    __slots__ = ("const_positions", "var_positions")
 
-    def __init__(self, const_positions, var_positions, match):
+    def __init__(self, const_positions, var_positions):
         self.const_positions = const_positions
         self.var_positions = var_positions
-        self.match = match
-
-
-def _generate_matcher(const_positions, var_positions):
-    """Build the specialized matcher closure for one atom shape.
-
-    The function body is generated source — one comparison per constant
-    position, one per repeated occurrence, one binding probe per
-    distinct variable — compiled once and reused for every row the atom
-    is ever matched against.
-    """
-    env = {"_UNBOUND": _UNBOUND}
-    lines = ["def match(row, binding):"]
-    for i, (position, value) in enumerate(const_positions):
-        env["c%d" % i] = value
-        lines.append("    if row[%d] != c%d:" % (position, i))
-        lines.append("        return None")
-    for i, (var, positions) in enumerate(var_positions):
-        env["v%d" % i] = var
-        lines.append("    value%d = row[%d]" % (i, positions[0]))
-        for position in positions[1:]:
-            lines.append("    if row[%d] != value%d:" % (position, i))
-            lines.append("        return None")
-    lines.append("    extension = {}")
-    for i, (var, positions) in enumerate(var_positions):
-        lines.append("    bound = binding.get(v%d, _UNBOUND)" % i)
-        lines.append("    if bound is _UNBOUND:")
-        lines.append("        extension[v%d] = value%d" % (i, i))
-        lines.append("    elif bound != value%d:" % i)
-        lines.append("        return None")
-    lines.append("    return extension")
-    namespace = {}
-    exec("\n".join(lines), env, namespace)  # noqa: S102 - generated from terms
-    return namespace["match"]
-
-
-_PLAN_CACHE = {}
-_PLAN_CACHE_LIMIT = 4096
 
 
 def _atom_plan(atom):
-    """The (memoized) :class:`_AtomPlan` of one source atom."""
-    plan = _PLAN_CACHE.get(atom)
-    if plan is not None:
-        return plan
+    """The :class:`_AtomPlan` of one source atom."""
     const_positions = []
     occurrences = {}
     for position, term in enumerate(atom.args):
@@ -312,19 +271,12 @@ def _atom_plan(atom):
             const_positions.append((position, term.value))
         else:
             occurrences.setdefault(term, []).append(position)
-    const_positions = tuple(const_positions)
-    var_positions = tuple(
-        (var, tuple(positions)) for var, positions in occurrences.items()
+    return _AtomPlan(
+        tuple(const_positions),
+        tuple(
+            (var, tuple(positions)) for var, positions in occurrences.items()
+        ),
     )
-    plan = _AtomPlan(
-        const_positions,
-        var_positions,
-        _generate_matcher(const_positions, var_positions),
-    )
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[atom] = plan
-    return plan
 
 
 def _feasible_mask(plan, columns, start, column_domains, binding, domains):
@@ -443,99 +395,191 @@ def _ac3_masks(source_atoms, plans, keys, compiled, candidates, counts,
     return True
 
 
-def _forward_check_masks(extension, rest, plans, keys, compiled, candidates,
-                         counts, trail):
-    """Prune the mask candidate sets of *rest* atoms against *extension*.
-
-    Pruned sets are pushed onto *trail* as ``(position, old mask, old
-    count)`` for O(1) restoration on backtrack.  Returns ``(consistent,
-    intersections performed)``; inconsistent means some atom lost every
-    candidate row.
-    """
-    intersections = 0
-    for position_in_source in rest:
-        columns = compiled.masks.get(keys[position_in_source])
-        mask = candidates[position_in_source]
-        old = mask
-        for var, positions in plans[position_in_source].var_positions:
-            value = extension.get(var, _UNBOUND)
-            if value is _UNBOUND:
-                continue
-            if columns is None:
-                mask = 0
-                break
-            for position in positions:
-                mask &= columns[position].get(value, 0)
-                intersections += 1
-            if not mask:
-                break
-        if mask != old:
-            trail.append(
-                (position_in_source, old, counts[position_in_source])
-            )
-            candidates[position_in_source] = mask
-            counts[position_in_source] = mask.bit_count()
-            if not mask:
-                return False, intersections
-    return True, intersections
-
-
 def _solve_component_masks(order, plans, keys, compiled, candidates, counts,
                            binding, counters):
     """Yield every assignment of one component's unbound variables.
 
-    *candidates*, *counts* (``{atom position: mask}`` / ``{atom
-    position: cardinality}``) and *binding* are private to this
-    component (the caller copies them), so paused generators of sibling
-    components never interfere.  The cached cardinalities, maintained
-    by forward checking and the trail, make the most-constrained-first
-    choice an O(1) dict probe per remaining atom instead of a recount.
-    """
+    *order* lists the component's atom positions, ascending; the search
+    addresses them by their index in it.  *candidates* and *counts* are
+    that atom-indexed list of masks and of their cardinalities, private
+    to this component (the caller copies them), so paused generators of
+    sibling components never interfere; *binding* is the caller's
+    ``fixed`` assignment and is only read.
 
-    def descend(remaining, assigned):
+    The component is compiled once, before the search:
+
+    * its unbound variables become integer slots ``0..k-1``, numbered in
+      first-occurrence order over its atoms, and the assignment is a
+      list indexed by slot;
+    * each atom keeps its fixed checks (``(position, value)`` for its
+      constants and ``fixed``-bound variables) and one ``(slot, first
+      position, other positions)`` entry per variable, in argument
+      order;
+    * each slot keeps its *watch list*: the atoms that mention it,
+      ascending, with the mask columns of its positions there.
+
+    Forward checking after a binding visits only the watch lists of the
+    slots just bound, restricted to unsolved atoms, in ascending atom
+    order — the atoms a full scan of the unsolved atoms would change, in
+    the order it would change them.  The cached cardinalities,
+    maintained by forward checking and the trail, make the
+    most-constrained-first choice one C-level ``min`` over the remaining
+    atoms, ties going to the lowest position.  Mappings are yielded as
+    ``{Var: value}`` dicts in assignment order.
+    """
+    variables = []
+    slot_of = {}
+    rows = []
+    checks = []
+    entries = []
+    watchers = []
+    for index, position in enumerate(order):
+        plan = plans[position]
+        key = keys[position]
+        columns = compiled.masks[key]
+        rows.append(compiled.rows[key])
+        fixed = list(plan.const_positions)
+        own = []
+        for var, positions in plan.var_positions:
+            value = binding.get(var, _UNBOUND)
+            if value is not _UNBOUND:
+                fixed.extend((at, value) for at in positions)
+                continue
+            slot = slot_of.get(var)
+            if slot is None:
+                slot = slot_of[var] = len(variables)
+                variables.append(var)
+                watchers.append([])
+            watchers[slot].append(
+                (index, tuple(columns[at] for at in positions))
+            )
+            own.append((slot, positions[0], positions[1:]))
+        checks.append(tuple(fixed))
+        entries.append(tuple(own))
+    values = [_UNBOUND] * len(variables)
+    solved = [False] * len(order)
+    assigned = []
+
+    def watch_plan(fresh):
+        """``[(atom, ((slot, columns), ...)), ...]``: the unsolved atoms
+        watching a slot in *fresh*, ascending, each with its entries for
+        those slots in argument order."""
+        # One fresh slot, the common case: its watch list already has
+        # this shape, so skip the merge (~6% `adversary` throughput,
+        # EXPERIMENTS.md E20).
+        if len(fresh) == 1:
+            slot = fresh[0]
+            return [
+                (index, ((slot, columns),))
+                for index, columns in watchers[slot]
+                if not solved[index]
+            ]
+        touched = {}
+        for slot in fresh:
+            for index, columns in watchers[slot]:
+                if not solved[index]:
+                    touched.setdefault(index, {})[slot] = columns
+        return [
+            (index, tuple(
+                (slot, touched[index][slot])
+                for slot, __, __ in entries[index]
+                if slot in touched[index]
+            ))
+            for index in sorted(touched)
+        ]
+
+    def descend(remaining):
         if not remaining:
-            yield dict(assigned)
+            yield {variables[slot]: values[slot] for slot in assigned}
             return
-        best = min(remaining, key=lambda p: (counts[p], p))
+        best = min(remaining, key=counts.__getitem__)
         mask = candidates[best]
         if not mask:
             return
-        rest = [p for p in remaining if p != best]
-        match = plans[best].match
-        rows = compiled.rows[keys[best]]
+        rest = remaining.copy()
+        rest.remove(best)
+        # A row matches when it carries these values (constants, fixed
+        # and already-bound slots) and repeats each fresh slot's value.
+        equal = list(checks[best])
+        repeated = []
+        fresh = []
+        reads = []
+        for slot, first, others in entries[best]:
+            value = values[slot]
+            if value is _UNBOUND:
+                fresh.append(slot)
+                reads.append((slot, first))
+                for at in others:
+                    repeated.append((at, first))
+            else:
+                equal.append((first, value))
+                for at in others:
+                    equal.append((at, value))
+        guarded = bool(equal or repeated)
+        solved[best] = True
+        watch = watch_plan(fresh) if fresh and rest else ()
+        best_rows = rows[best]
         while mask:
             low = mask & -mask
             mask ^= low
-            extension = match(rows[low.bit_length() - 1], binding)
-            if extension is None:
+            row = best_rows[low.bit_length() - 1]
+            if guarded and not _row_matches(row, equal, repeated):
                 continue
             if counters is not None:
                 counters.nodes += 1
-            binding.update(extension)
-            assigned.update(extension)
+            for slot, first in reads:
+                values[slot] = row[first]
+            assigned.extend(fresh)
             trail = []
             consistent = True
-            if extension and rest:
-                consistent, used = _forward_check_masks(
-                    extension, rest, plans, keys, compiled, candidates,
-                    counts, trail,
-                )
+            if watch:
+                intersections = 0
+                for index, watched in watch:
+                    narrowed = old = candidates[index]
+                    for slot, columns in watched:
+                        value = values[slot]
+                        for column in columns:
+                            narrowed &= column.get(value, 0)
+                            intersections += 1
+                        if not narrowed:
+                            break
+                    if narrowed != old:
+                        trail.append((index, old, counts[index]))
+                        candidates[index] = narrowed
+                        counts[index] = narrowed.bit_count()
+                        if not narrowed:
+                            consistent = False
+                            break
                 if counters is not None:
-                    counters.mask_intersections += used
+                    counters.mask_intersections += intersections
             if consistent:
-                yield from descend(rest, assigned)
+                yield from descend(rest)
             elif counters is not None:
                 counters.domain_wipeouts += 1
-            for pruned_position, old_mask, old_count in trail:
-                candidates[pruned_position] = old_mask
-                counts[pruned_position] = old_count
-            for var in extension:
-                del binding[var]
-                del assigned[var]
+            for index, old_mask, old_count in trail:
+                candidates[index] = old_mask
+                counts[index] = old_count
+            for slot in fresh:
+                values[slot] = _UNBOUND
+                assigned.pop()
             if counters is not None:
                 counters.backtracks += 1
+        solved[best] = False
 
-    yield from descend(list(order), {})
+    yield from descend(list(range(len(order))))
+
+
+def _row_matches(row, equal, repeated):
+    """Whether *row* carries ``value`` at every ``(position, value)`` of
+    *equal* and ``row[first]`` at every ``(position, first)`` of
+    *repeated*."""
+    for position, value in equal:
+        if row[position] != value:
+            return False
+    for position, first in repeated:
+        if row[position] != row[first]:
+            return False
+    return True
 
 
 def _initial_domains(source_atoms, keys, compiled, binding, allowed):
@@ -700,9 +744,9 @@ def propagating_search(source_atoms, compiled, binding, allowed):
             plans,
             keys,
             compiled,
-            {position: candidates[position] for position in order},
-            {position: counts[position] for position in order},
-            dict(binding),
+            [candidates[position] for position in order],
+            [counts[position] for position in order],
+            binding,
             counters,
         )
         lazy = _LazySolutions(generator)

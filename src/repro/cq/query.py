@@ -65,10 +65,13 @@ class ConjunctiveQuery(PicklableSlots):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", body)
-        object.__setattr__(self, "_hash", hash((name, head, body)))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConjunctiveQuery is immutable")
+
+    def _hash_key(self):
+        return (self.name, self.head, self.body)
 
     def variables(self):
         """All variables of the query (head + body), sorted by name."""

@@ -15,6 +15,10 @@ __all__ = ["Var", "Const", "Atom", "is_var", "is_const", "substitute_term"]
 class Var(PicklableSlots):
     """A query variable, identified by name.
 
+    A variable hashes as its name: ``str`` caches its own hash, so
+    hashing needs no memo slot (unlike :class:`Atom`) and builds no
+    tuple.
+
     >>> Var("X") == Var("X")
     True
     """
@@ -33,7 +37,7 @@ class Var(PicklableSlots):
         return isinstance(other, Var) and self.name == other.name
 
     def __hash__(self):
-        return hash(("Var", self.name))
+        return hash(self.name)
 
     def __lt__(self, other):
         if not isinstance(other, Var):
@@ -103,10 +107,13 @@ class Atom(PicklableSlots):
                 raise ReproError("atom arguments must be terms, got %r" % (term,))
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash((pred, args)))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Atom is immutable")
+
+    def _hash_key(self):
+        return (self.pred, self.args)
 
     @property
     def arity(self):

@@ -73,12 +73,16 @@ class GroupingNode(PicklableSlots):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "children", children)
-        object.__setattr__(
-            self, "_hash", hash((label, own_atoms, values, index, children))
-        )
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupingNode is immutable")
+
+    def _hash_key(self):
+        return (
+            self.label, self.own_atoms, self.values, self.index,
+            self.children,
+        )
 
     def value_names(self):
         return tuple(name for name, __ in self.values)

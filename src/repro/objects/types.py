@@ -63,10 +63,13 @@ class RecordType(PicklableSlots):
             if not _is_type(component):
                 raise TypeCheckError("not a type: %r" % (component,))
         object.__setattr__(self, "_fields", items)
-        object.__setattr__(self, "_hash", hash(items))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("RecordType is immutable")
+
+    def _hash_key(self):
+        return self._fields
 
     def __getitem__(self, name):
         for key, value in self._fields:
@@ -115,10 +118,13 @@ class SetType(PicklableSlots):
         if not _is_type(element):
             raise TypeCheckError("not a type: %r" % (element,))
         object.__setattr__(self, "element", element)
-        object.__setattr__(self, "_hash", hash(("SetType", element)))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetType is immutable")
+
+    def _hash_key(self):
+        return ("SetType", self.element)
 
     def __eq__(self, other):
         if not isinstance(other, SetType):

@@ -7,12 +7,19 @@ import multiprocessing
 import os
 import pickle
 import sqlite3
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro
 from repro.cq.propagation import CompiledTarget, compile_target
+from repro.cq.query import ConjunctiveQuery
+from repro.cq.terms import Atom, Const, Var
 from repro.engine import ContainmentEngine
+from repro.grouping.query import GroupingNode
+from repro.objects.types import ATOM, RecordType, SetType
 from repro.pipeline import ArtifactStore, MISSING, PersistentStore, TieredStore
 from repro.pipeline.persist import FORMAT_VERSION
 
@@ -417,3 +424,91 @@ class TestCrossProcessWarmStart:
 def _read_one(path, kind, key):
     with TieredStore(path=path) as tiered:
         return tiered.lookup(kind, key)
+
+
+def _hashed_instances():
+    """One instance of every class that memoizes its ``hash()`` in a
+    ``_hash`` slot, and the :class:`Var` they hold (the key of every
+    binding dict), built the same way in every process."""
+    x = Var("X")
+    atom = Atom("r", (x, Const("c")))
+    record = RecordType({"a": ATOM, "kids": SetType(RecordType({"b": ATOM}))})
+    return (
+        x,
+        atom,
+        ConjunctiveQuery((x,), (atom,)),
+        GroupingNode("root", (atom,), {"a": x}, (x,)),
+        record,
+        SetType(record),
+    )
+
+
+def _write_hashed(directory):
+    """Pickle :func:`_hashed_instances` and prepare a query into a
+    persistent store, both under *directory* (run in a subprocess)."""
+    with open(os.path.join(directory, "hashed.pickle"), "wb") as handle:
+        pickle.dump(_hashed_instances(), handle)
+    engine = ContainmentEngine(store_path=os.path.join(directory, "cache.db"))
+    engine.prepare(UNLINKED, SCHEMA)
+    engine.store().close()
+
+
+def _check_hashed(directory):
+    """Load what :func:`_write_hashed` wrote and compare it with fresh
+    objects, by equality, by hash and by set membership (subprocess)."""
+    with open(os.path.join(directory, "hashed.pickle"), "rb") as handle:
+        loaded = pickle.load(handle)
+    engine = ContainmentEngine(store_path=os.path.join(directory, "cache.db"))
+    disk = engine.prepare(UNLINKED, SCHEMA)
+    assert engine.store().counters()["prepare"]["disk_hits"] == 1
+    fresh = ContainmentEngine().prepare(UNLINKED, SCHEMA)
+    pairs = list(zip(loaded, _hashed_instances()))
+    pairs.append((disk.query.root, fresh.query.root))
+    pairs.extend(zip(disk.query.root.own_atoms, fresh.query.root.own_atoms))
+    for old, new in pairs:
+        assert old == new, (old, new)
+        assert hash(old) == hash(new), (type(old).__name__, old)
+        assert old in {new}, (type(old).__name__, old)
+
+
+class TestHashAcrossProcesses:
+    """``str`` hashes are salted per process, so a memoized ``_hash``
+    must never be pickled: a copy loaded in another process would equal
+    a fresh object yet miss it in every set and dict."""
+
+    def _run(self, function, directory, hash_seed):
+        # The package's parent directory and the one holding ``tests/``.
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        project_root = os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__))
+        )
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                   PYTHONPATH=os.pathsep.join((source_root, project_root)))
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from tests.test_persist import %s as f; f(sys.argv[1])"
+             % function, directory],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stdout
+
+    def test_loaded_objects_rehash_in_the_reading_process(self, tmp_path):
+        self._run("_write_hashed", str(tmp_path), 1)
+        self._run("_check_hashed", str(tmp_path), 2)
+
+    def test_state_carrying_a_stale_hash_loads_rehashed(self):
+        # Rows written before ``_hash`` was skipped carry one in their
+        # state; loading must ignore it.
+        atom = Atom("r", (Var("X"), Const("c")))
+        state = dict(atom.__getstate__(), _hash=12345)
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = {
+            Atom: lambda obj: (copyreg.__newobj__, (Atom,), state),
+        }
+        pickler.dump(atom)
+        loaded = pickle.loads(buffer.getvalue())
+        assert loaded == atom
+        assert hash(loaded) == hash(atom) != 12345
+        assert "_hash" not in loaded.__getstate__()

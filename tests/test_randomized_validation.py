@@ -13,6 +13,7 @@ counts keep ordinary runs fast.
 import itertools
 import os
 import random
+import re
 
 import pytest
 
@@ -211,6 +212,36 @@ class TestBatchedCoqlSweep:
                 assert type(verdict) is type(expected)
             else:
                 assert verdict == expected, (sup, sub)
+
+
+class TestCertificateMatchesOracleWithConstants:
+    """On queries whose conditions compare a path with a constant, the
+    certificate verdict equals the brute-force oracle's
+    (``method="canonical"``) on every ordered pair of the pool.  Pairs
+    of distinct queries are almost all non-contained, so the reflexive
+    pairs supply the positive verdicts."""
+
+    SCHEMA = {"r": ("a", "b"), "s": ("k", "b")}
+    #: Constant-bearing ``random_coql_deep`` queries at depths 2 and 3.
+    POOL = tuple(
+        text
+        for seed in seeds(10)
+        for depth in (2, 3)
+        for text in (random_coql_deep(seed=seed, depth=depth),)
+        if re.search(r"= \d", text)
+    )
+
+    def test_certificate_matches_oracle(self):
+        verdicts = set()
+        for sub, sup in itertools.product(self.POOL, repeat=2):
+            try:
+                by_certificate = contains(sup, sub, self.SCHEMA)
+            except IncomparableQueriesError:
+                continue
+            by_canonical = contains(sup, sub, self.SCHEMA, method="canonical")
+            assert by_certificate is by_canonical, (sub, sup)
+            verdicts.add(by_certificate)
+        assert verdicts == {True, False}
 
 
 class TestCoqlContainmentTransitivity:
