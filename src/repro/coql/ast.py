@@ -288,6 +288,12 @@ class Flatten(Expr):
         return "flatten(%r)" % (self.expr,)
 
 
+def check_generator_names(names):
+    """Raise :class:`ReproError` if a select binds a variable twice."""
+    if len(set(names)) != len(names):
+        raise ReproError("duplicate generator variables: %r" % (names,))
+
+
 class Select(Expr):
     """``select head from x1 in e1, … where l1 = r1 and …``."""
 
@@ -296,9 +302,7 @@ class Select(Expr):
     def __init__(self, head, generators, conditions=()):
         generators = tuple((str(v), e) for v, e in generators)
         conditions = tuple(conditions)
-        names = [v for v, __ in generators]
-        if len(set(names)) != len(names):
-            raise ReproError("duplicate generator variables: %r" % (names,))
+        check_generator_names([v for v, __ in generators])
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "conditions", conditions)

@@ -20,6 +20,15 @@ to range a generator over a union.  A leading identifier is a variable
 when bound by an enclosing generator and an input-relation name
 otherwise.
 
+Parsing takes time linear in the input.  The tokenizer classifies each
+token once and computes every ``(line, column)`` in one scan.  The
+syntax pass then reads each token once, in source order, and returns a
+*builder* per construct: a function of the enclosing scope (the set of
+bound generator variables) that makes the construct's node.  A select's
+head precedes the generators that bind its names, so the head is only
+built once its select's builder has added them to the scope; the
+syntax is never re-read, and every node is built exactly once.
+
 >>> q = parse_coql("select [a: x.a] from x in r where x.b = 3")
 """
 
@@ -37,22 +46,25 @@ from repro.coql.ast import (
     Flatten,
     Select,
     UnionBody,
+    check_generator_names,
 )
 
 __all__ = ["parse_coql"]
 
 _KEYWORDS = {"select", "from", "where", "in", "and", "flatten", "union"}
 
+# One named group per token kind.  Only ``float`` must precede ``int``
+# (the other kinds start with distinct characters, and identifiers, the
+# commonest, come first); ``bad`` catches any other non-space character,
+# so ``finditer`` never skips text.
 _TOKEN_RE = re.compile(
     r"""
-    \s*(
-        [(){}\[\],.=:]              |
-        -?\d+\.\d+                  |
-        -?\d+                       |
-        "(?:[^"\\]|\\.)*"          |
-        '(?:[^'\\]|\\.)*'          |
-        [A-Za-z_][A-Za-z_0-9]*
-    )
+    (?P<ident>[A-Za-z_][A-Za-z_0-9]*)                   |
+    (?P<punct>[(){}\[\],.=:])                           |
+    (?P<float>-?\d+\.\d+)                               |
+    (?P<int>-?\d+)                                      |
+    (?P<string>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')     |
+    (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -66,32 +78,47 @@ def _line_col(text, offset):
 
 
 def _tokenize(text):
-    tokens = []
+    """``(tokens, kinds, positions)``: token texts, their ``_TOKEN_RE``
+    group names, and their 1-based ``(line, column)`` starts."""
+    matches = list(_TOKEN_RE.finditer(text))
+    kinds = [match.lastgroup for match in matches]
+    if "bad" in kinds:
+        bad = matches[kinds.index("bad")].start()
+        where = _line_col(text, bad)
+        raise ParseError(
+            "cannot tokenize COQL at %r (line %d, col %d)"
+            % ((text[bad:].rstrip()[:25],) + where),
+            span=where,
+        )
+    tokens = [match.group() for match in matches]
     positions = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:]
-            if not rest.strip():
-                break
-            bad = pos + (len(rest) - len(rest.lstrip()))
-            where = _line_col(text, bad)
-            raise ParseError(
-                "cannot tokenize COQL at %r (line %d, col %d)"
-                % ((rest.strip()[:25],) + where),
-                span=where,
-            )
-        tokens.append(match.group(1))
-        positions.append(_line_col(text, match.start(1)))
-        pos = match.end()
-    return tokens, positions
+    line, line_start, previous = 1, 0, 0
+    for match in matches:
+        start = match.start()
+        newlines = text.count("\n", previous, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", previous, start) + 1
+        positions.append((line, start - line_start + 1))
+        previous = start
+    return tokens, kinds, positions
 
 
 class _Parser:
+    """The syntax pass: recursive descent over the token list.
+
+    Each grammar method consumes its construct's tokens and returns a
+    builder ``build(scope) -> Expr``.  Syntax errors are raised as the
+    tokens are read, in source order; identifiers are resolved to
+    :class:`VarRef` or :class:`RelRef` only when their builder runs.
+    """
+
     def __init__(self, text):
         self.text = text
-        self.tokens, self.positions = _tokenize(text)
+        self.tokens, self.kinds, self.positions = _tokenize(text)
+        # A None sentinel past the last token: peeking needs no bounds test.
+        self.tokens.append(None)
+        self.kinds.append(None)
         self.index = 0
 
     def span_at(self, index=None):
@@ -103,10 +130,10 @@ class _Parser:
         return self.positions[-1] if self.positions else (1, 1)
 
     def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+        return self.tokens[self.index]
 
     def next(self):
-        token = self.peek()
+        token = self.tokens[self.index]
         if token is None:
             raise ParseError(
                 "unexpected end of COQL input in %r" % self.text,
@@ -125,90 +152,95 @@ class _Parser:
             )
 
     def done(self):
-        return self.index >= len(self.tokens)
+        return self.tokens[self.index] is None
 
     # -- grammar -----------------------------------------------------------
 
-    def expr(self, bound):
+    def expr(self):
         start = self.span_at()
-        branch = self.operand(bound)
+        branch = self.operand()
         if self.peek() != "union":
             return branch
         branches = [branch]
         while self.peek() == "union":
             self.next()
-            branches.append(self.operand(bound))
-        return UnionBody(branches).with_span(start)
+            branches.append(self.operand())
 
-    def operand(self, bound):
+        def build(scope):
+            return UnionBody([b(scope) for b in branches]).with_span(start)
+
+        return build
+
+    def operand(self):
         token = self.peek()
         if token == "select":
-            return self.select(bound)
+            return self.select()
         if token == "flatten":
             start = self.span_at()
             self.next()
             self.expect("(")
-            inner = self.expr(bound)
+            inner = self.expr()
             self.expect(")")
-            return Flatten(inner).with_span(start)
-        return self.primary(bound)
+            return lambda scope: Flatten(inner(scope)).with_span(start)
+        return self.primary()
 
-    def select(self, bound):
-        select_span = self.span_at()
+    def select(self):
+        select_span = self.positions[self.index]
         self.expect("select")
-        head_start = self.index
-        # First pass over the head: variable-vs-relation resolution never
-        # affects the token structure, so parsing with the outer bound set
-        # just locates the head's extent; the head is re-parsed below once
-        # the generator variables are known.
-        self.operand(bound)
+        head = self.operand()
         self.expect("from")
         generators = []
-        inner_bound = set(bound)
         while True:
             var_at = self.index
             var = self.next()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", var) or var in _KEYWORDS:
+            if self.kinds[var_at] != "ident" or var in _KEYWORDS:
                 raise ParseError(
                     "bad generator variable %r" % var,
                     span=self.span_at(var_at),
                 )
             self.expect("in")
-            source = self.operand(frozenset(inner_bound))
-            generators.append((var, source))
-            inner_bound.add(var)
-            if self.peek() == ",":
-                self.next()
-                continue
-            break
+            generators.append((var, self.operand()))
+            if self.peek() != ",":
+                break
+            self.next()
         conditions = []
         if self.peek() == "where":
             self.next()
             while True:
-                left = self.operand(frozenset(inner_bound))
+                left = self.operand()
                 self.expect("=")
-                right = self.operand(frozenset(inner_bound))
-                conditions.append((left, right))
-                if self.peek() == "and":
-                    self.next()
-                    continue
-                break
-        # Re-parse the head now that generator variables are known.
-        end = self.index
-        self.index = head_start
-        head = self.operand(frozenset(inner_bound))
-        if self.peek() != "from":
-            raise ParseError(
-                "malformed select head in %r" % self.text, span=select_span
-            )
-        self.index = end
-        return Select(head, generators, conditions).with_span(select_span)
+                conditions.append((left, self.operand()))
+                if self.peek() != "and":
+                    break
+                self.next()
+        check_generator_names([var for var, __ in generators])
 
-    def primary(self, bound):
-        start = self.span_at()
+        def build(scope):
+            inner = set(scope)
+            built = []
+            for var, source in generators:
+                built.append((var, source(inner)))
+                inner.add(var)
+            where = [(left(inner), right(inner)) for left, right in conditions]
+            return Select(head(inner), built, where).with_span(select_span)
+
+        return build
+
+    def primary(self):
         token = self.next()
+        start = self.positions[self.index - 1]
+        kind = self.kinds[self.index - 1]
+        if kind == "ident" and token not in _KEYWORDS:
+            return self._path(token, start)
+        if kind == "string":
+            value = token[1:-1].replace('\\"', '"').replace("\\'", "'")
+            return self._const(value, start)
+        if kind == "int":
+            return self._const(int(token), start)
+        if kind == "float":
+            return self._const(float(token), start)
         if token == "(":
-            inner = self.expr(bound)
+            inner = self.expr()
             self.expect(")")
             return inner
         if token == "[":
@@ -216,66 +248,83 @@ class _Parser:
             while True:
                 name = self.next()
                 self.expect(":")
-                fields[name] = self.operand(bound)
+                fields[name] = self.operand()
                 nxt_at = self.index
                 nxt = self.next()
                 if nxt == "]":
-                    return RecordExpr(fields).with_span(start)
+                    break
                 if nxt != ",":
                     raise ParseError(
                         "expected ',' or ']' in record, got %r" % nxt,
                         span=self.span_at(nxt_at),
                     )
+            return lambda scope: RecordExpr(
+                {name: field(scope) for name, field in fields.items()}
+            ).with_span(start)
         if token == "{":
             if self.peek() == "}":
                 self.next()
-                return EmptySet().with_span(start)
-            inner = self.operand(bound)
+                return lambda scope: EmptySet().with_span(start)
+            inner = self.operand()
             self.expect("}")
-            return Singleton(inner).with_span(start)
-        if token.startswith(("'", '"')):
-            value = token[1:-1].replace('\\"', '"').replace("\\'", "'")
-            return Const(value).with_span(start)
-        if re.fullmatch(r"-?\d+", token):
-            return Const(int(token)).with_span(start)
-        if re.fullmatch(r"-?\d+\.\d+", token):
-            return Const(float(token)).with_span(start)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", token) and token not in _KEYWORDS:
-            base = VarRef(token) if token in bound else RelRef(token)
-            return self._path(base.with_span(start))
+            return lambda scope: Singleton(inner(scope)).with_span(start)
         raise ParseError(
             "unexpected token %r in %r" % (token, self.text), span=start
         )
 
-    def _path(self, base):
-        expr = base
-        while self.peek() == ".":
-            dot_span = self.span_at()
-            self.next()
+    @staticmethod
+    def _const(value, start):
+        node = Const(value).with_span(start)
+        return lambda scope: node
+
+    def _path(self, name, start):
+        attrs = []
+        while self.tokens[self.index] == ".":
+            dot_span = self.positions[self.index]
+            self.index += 1
             attr_at = self.index
             attr = self.next()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", attr):
+            if self.kinds[attr_at] != "ident":
                 raise ParseError(
                     "bad attribute name %r" % attr, span=self.span_at(attr_at)
                 )
-            expr = Proj(expr, attr).with_span(dot_span)
-        return expr
+            attrs.append((attr, dot_span))
+
+        def build(scope):
+            expr = (VarRef(name) if name in scope else RelRef(name)).with_span(
+                start
+            )
+            for attr, dot_span in attrs:
+                expr = Proj(expr, attr).with_span(dot_span)
+            return expr
+
+        return build
 
 
 def parse_coql(text):
     """Parse a COQL expression from its concrete syntax.
 
-    Every AST node carries the ``(line, column)`` of its first token in
-    its :attr:`~repro.coql.ast.Expr.span`, and :class:`ParseError`\\ s
-    carry the failure position in their ``span`` attribute — both are
-    1-based and used by :mod:`repro.analysis` to point diagnostics at
-    real source locations.
+    Every AST node carries the ``(line, column)`` of its first token (a
+    projection: of its ``.``) in its :attr:`~repro.coql.ast.Expr.span`,
+    and :class:`ParseError`\\ s carry the failure position in their
+    ``span`` attribute — both are 1-based and used by
+    :mod:`repro.analysis` to point diagnostics at real source locations.
+    Input nested too deeply for the interpreter stack raises
+    :class:`ParseError` too, at the token the parser had reached.
     """
     parser = _Parser(text)
-    expr = parser.expr(frozenset())
-    if not parser.done():
+    try:
+        build = parser.expr()
+        if not parser.done():
+            raise ParseError(
+                "trailing tokens %r in %r"
+                % (parser.tokens[parser.index:-1], text),
+                span=parser.span_at(),
+            )
+        return build(frozenset())
+    except RecursionError:
+        where = parser.span_at()
         raise ParseError(
-            "trailing tokens %r in %r" % (parser.tokens[parser.index:], text),
-            span=parser.span_at(),
-        )
-    return expr
+            "COQL input nested too deeply (line %d, col %d)" % where,
+            span=where,
+        ) from None

@@ -2,10 +2,17 @@
 
 ``to_text`` renders an AST back into the concrete syntax accepted by
 :func:`repro.coql.parser.parse_coql`; the round-trip
-``parse(to_text(e)) == e`` holds for every expression (property-tested).
+``parse(to_text(e)) == e`` holds for every expression it renders
+(property-tested).  A constant with no concrete syntax raises
+:class:`ReproError` instead: a boolean, a non-finite float, or a string
+the parser's quote escapes cannot spell, such as one that ends in a
+backslash or has a backslash before a quote.
 """
 
-from repro.errors import ReproError
+import math
+from decimal import Decimal
+
+from repro.errors import ParseError, ReproError
 from repro.coql.ast import (
     Const,
     VarRef,
@@ -18,12 +25,17 @@ from repro.coql.ast import (
     Select,
     UnionBody,
 )
+from repro.coql.parser import parse_coql
 
 __all__ = ["to_text"]
 
 
 def to_text(expr):
-    """Render a COQL expression as parseable concrete syntax."""
+    """Render a COQL expression as parseable concrete syntax.
+
+    Raises :class:`ReproError` on a constant that has no concrete
+    syntax (see the module docstring).
+    """
     return _render(expr, top=True)
 
 
@@ -86,6 +98,23 @@ def _const(value):
         raise ReproError(
             "boolean constants have no concrete syntax; use 0/1"
         )
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ReproError("float constant %r has no concrete syntax" % (value,))
+        # Positional digits of the shortest repr: a float token (never
+        # an exponent, which does not tokenize) that reads back exactly.
+        text = format(Decimal(repr(value)), "f")
+        return text if "." in text else text + ".0"
     if isinstance(value, str):
-        return '"%s"' % value.replace('"', '\\"')
+        text = '"%s"' % value.replace('"', '\\"')
+        try:
+            parsed = parse_coql(text)
+        except ParseError:
+            parsed = None
+        if parsed != Const(value):
+            raise ReproError(
+                "string constant %r has no concrete syntax: the parser's "
+                "quote escapes cannot spell it" % (value,)
+            )
+        return text
     return repr(value)

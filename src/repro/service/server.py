@@ -38,7 +38,7 @@ GET      /healthz       ``{"ok": true}``
 Status codes: 200 for every decided request (including ``"undecided"``
 timeouts), 400 for malformed requests, 404 unknown path, 413 oversized
 body, 422 for domain errors (incomparable queries, unsupported
-fragment), 500 for unexpected failures.
+fragment, a query that does not parse), 500 for unexpected failures.
 
 Deadline semantics: a request's ``timeout_s`` rides the existing
 timeout machinery — with ``jobs >= 2`` the engine's pool workers
@@ -190,12 +190,29 @@ class ContainmentService:
         return flush() if flush is not None else 0
 
     def _decide_batch(self, group, pairs):
-        """One micro-batch → one ``contains_many`` (executor thread)."""
+        """One micro-batch → one ``contains_many`` (executor thread).
+
+        A pair whose error ``contains_many`` does not capture (a
+        :class:`repro.errors.ParseError`, say) fails only its own
+        request: the batch is decided again pair by pair, each pair as a
+        batch of one, so under ``jobs >= 2`` it still runs in the worker
+        pool under its per-check deadline.
+        """
         schema_items, witnesses, method, timeout_s = group
-        verdicts = self._engine.contains_many(
-            pairs, dict(schema_items), witnesses=witnesses, method=method,
-            timeout_s=timeout_s, on_error="capture", on_timeout="undecided",
-        )
+        schema = dict(schema_items)
+        knobs = dict(witnesses=witnesses, method=method, timeout_s=timeout_s,
+                     on_error="capture", on_timeout="undecided")
+        try:
+            verdicts = self._engine.contains_many(pairs, schema, **knobs)
+        except ReproError:
+            verdicts = []
+            for pair in pairs:
+                try:
+                    verdicts.extend(
+                        self._engine.contains_many([pair], schema, **knobs)
+                    )
+                except ReproError as exc:
+                    verdicts.append(exc)
         self._flush()
         return verdicts
 

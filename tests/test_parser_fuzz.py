@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError, ReproError
 from repro.cq.parser import parse_query, parse_atom
+from repro.coql import parser as coql_parser
 from repro.coql.parser import parse_coql
 
 # Characters that appear in the grammars, to bias the fuzzer toward
@@ -80,3 +81,34 @@ class TestCoqlParserFuzz:
         for __ in range(12):
             text = "select [w: (%s)] from y in r" % text
         parse_coql(text)  # must parse without blowing the stack
+
+    def test_each_nested_head_is_built_once(self, monkeypatch):
+        # A select's head precedes the generators that bind its names;
+        # re-parsing it once they are known would build the select at
+        # nesting level k 2**k times (1023 nodes for these 10 levels).
+        built = []
+
+        class CountingSelect(coql_parser.Select):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(coql_parser, "Select", CountingSelect)
+        text = "select [v: x9.a] from x9 in r"
+        for level in range(8, -1, -1):
+            text = "select [v: x%d.a, w: (%s)] from x%d in r" % (
+                level, text, level)
+        query = parse_coql(text)
+        assert len(built) == 10
+        assert isinstance(query, CountingSelect)
+
+    def test_nesting_past_the_stack_is_a_parse_error(self):
+        text = "r"
+        for level in range(999, -1, -1):
+            text = "select x%d from x%d in (%s)" % (level, level, text)
+        with pytest.raises(ParseError, match="nested too deeply") as info:
+            parse_coql(text)
+        line, col = info.value.span
+        assert line == 1 and 1 < col < len(text)

@@ -4,6 +4,7 @@ tier)."""
 
 import asyncio
 import json
+import signal
 import threading
 from http.client import HTTPConnection
 
@@ -162,6 +163,104 @@ class TestProtocol:
         assert results[(WIDER, UNLINKED)] is True
         assert results[(UNLINKED, WIDER)] is False
         assert results[(WIDER, WIDER)] is True
+
+
+def clique_coql(size):
+    """K_size over ``node``/``e`` as a COQL query.  ``K_n ⊑ K_(n+1)`` is
+    a pigeonhole refutation: seconds at n=8, far longer at n=9."""
+    gens = ["v%d in node" % i for i in range(size)]
+    conds = []
+    for i in range(size):
+        for j in range(size):
+            if i != j:
+                gens.append("e%d_%d in e" % (i, j))
+                conds.append("e%d_%d.a = v%d.id" % (i, j, i))
+                conds.append("e%d_%d.b = v%d.id" % (i, j, j))
+    return "select [c: v0.id] from %s where %s" % (
+        ", ".join(gens), " and ".join(conds))
+
+
+def one_batch(svc, requests, schema, **knobs):
+    """Send the ``{name: (sup, sub)}`` requests concurrently, each on its
+    own connection; their verdicts or :class:`ServiceError` exceptions,
+    and the service's stats once every request is answered."""
+    results = {}
+
+    def hit(client, name, pair):
+        try:
+            results[name] = client.contain(*pair, schema, **knobs)
+        except ServiceError as exc:
+            results[name] = exc
+
+    clients = [ServiceClient(svc.host, svc.port) for __ in requests]
+    threads = [
+        threading.Thread(target=hit, args=(client,) + item)
+        for client, item in zip(clients, requests.items())
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+        assert not thread.is_alive()
+    stats = clients[0].stats()
+    for client in clients:
+        client.close()
+    return results, stats
+
+
+def parse_error_message(error):
+    """The message of a 422 ``ParseError`` response."""
+    assert isinstance(error, ServiceError), error
+    assert (error.status, error.kind) == (422, "ParseError")
+    return error.message
+
+
+class TestBatchIsolation:
+    def test_rejected_query_fails_only_its_own_request(self):
+        truncated = "select [v: x.a] from x in"
+        deep = "r"
+        for level in range(999, -1, -1):
+            deep = "select x%d from x%d in (%s)" % (level, level, deep)
+        requests = {
+            "good": (FLAT, FLAT),
+            "truncated": (truncated, FLAT),
+            "deep": (deep, FLAT),
+        }
+        with BackgroundService(timeout_s=30.0, batch_window_s=0.3) as svc:
+            results, stats = one_batch(svc, requests, "r:a,b;s:k,b")
+        # All three requests shared one micro-batch.
+        assert stats["service"]["batches"] == 1
+        assert results["good"] is True
+        assert parse_error_message(results["truncated"]) == (
+            "unexpected end of COQL input in %r" % truncated
+        )
+        assert "nested too deeply" in parse_error_message(results["deep"])
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"),
+        reason="per-check timeouts need SIGALRM (POSIX)",
+    )
+    def test_pool_keeps_deadlines_around_a_rejected_query(self):
+        """Under ``jobs=2`` a batch holding a rejected query is decided
+        again in the pool: the heavy pair still times out in a worker,
+        rather than running to completion on the engine thread until
+        the response deadline gives up on it."""
+        heavy = (clique_coql(10), clique_coql(9))
+        truncated = "select [c: v0.id] from v0 in"
+        requests = {"heavy": heavy, "truncated": (truncated, heavy[1])}
+        with BackgroundService(
+            jobs=2, batch_window_s=0.3, deadline_grace_s=3.0
+        ) as svc:
+            results, stats = one_batch(
+                svc, requests, "node:id;e:a,b", timeout_s=0.5
+            )
+        assert stats["service"]["batches"] == 1
+        assert results["heavy"] == "undecided"
+        assert stats["service"]["deadline_misses"] == 0
+        assert stats["engine"]["timeouts"] == 1
+        assert parse_error_message(results["truncated"]) == (
+            "unexpected end of COQL input in %r" % truncated
+        )
 
 
 class TestMicroBatcher:

@@ -1,14 +1,18 @@
 """Tests for union queries, the COQL pretty-printer, and JSON I/O."""
 
+import re
+
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ReproError, IncomparableQueriesError, ValueConstructionError
 from repro.cq import parse_query
 from repro.cq.unions import UnionQuery, union_contains, union_equivalent
 from repro.coql import parse_coql
+from repro.coql.ast import Const, RecordExpr, RelRef, Select
 from repro.coql.pretty import to_text
+from repro.pipeline.fingerprint import fingerprint
 from repro.objects import Record, CSet, Database
 from repro.objects.json_io import (
     dumps_value,
@@ -96,6 +100,36 @@ class TestPrettyPrinter:
     def test_string_escaping(self):
         expr = parse_coql('select [v: "say \\"hi\\""] from x in r')
         assert parse_coql(to_text(expr)) == expr
+
+    @staticmethod
+    def _with_constant(value):
+        return Select(RecordExpr({"v": Const(value)}), [("x", RelRef("r"))])
+
+    @given(st.one_of(st.floats(), st.text()))
+    @example(float("inf"))
+    @example(float("nan"))
+    @example(1e20)
+    @example("x\\")
+    @example('x\\"y')
+    @example("a\\'b")
+    @settings(max_examples=300, deadline=None)
+    def test_constants_round_trip_or_raise(self, value):
+        expr = self._with_constant(value)
+        try:
+            text = to_text(expr)
+        except ReproError:
+            return
+        parsed = parse_coql(text)
+        assert parsed == expr
+        # Equal fingerprints also rule out 1e20 coming back as an int.
+        assert fingerprint(parsed) == fingerprint(expr)
+
+    @pytest.mark.parametrize("value", [1e20, 1e-07, -0.0, 5e-324, 0.1])
+    def test_floats_render_positionally(self, value):
+        text = to_text(self._with_constant(value))
+        literal = text[len("select [v: "):text.index("]")]
+        assert re.fullmatch(r"-?\d+\.\d+", literal), literal
+        assert float(literal) == value
 
 
 class TestJsonIO:
