@@ -14,7 +14,10 @@ Usage::
     python -m repro semcache --scenario company --steps 200 --seed 7 [--zipf S --churn P --oracle --json]
 
 Schemas are written ``name:attr,attr;name:attr`` (attributes atomic).
-Databases for ``eval`` are JSON files ``{"relation": [{"attr": value}]}``.
+Databases for ``eval`` and ``analyze --data`` are JSON files
+``{"relation": [{"attr": value}]}`` holding the whole database; with
+``--schema``, an empty relation takes its row type from the schema and
+a schema relation the file omits is empty.
 ``lint`` targets are inline queries or ``.coql`` files (``#`` comments;
 a ``# schema: r:a,b`` directive overrides ``--schema``, and
 ``# constraint: r[a] -> s[b]`` directives declare inclusion
@@ -341,13 +344,26 @@ def _cmd_lint(args):
     return 1 if counts[ERROR] else 0
 
 
-def _analyze_stats(path):
-    from repro.analysis import DatabaseStatistics
+def _load_database(path, schema_text):
+    """The JSON database at *path*, typed by ``--schema`` when given.
+
+    The file is the whole database.  With a schema, an empty relation
+    takes its row type from it, and a relation the schema names but the
+    file omits is empty.
+    """
+    from repro.coql.containment import as_schema
     from repro.objects import Database
 
     with open(path) as handle:
         tables = json.load(handle)
-    return DatabaseStatistics.sample(Database.from_dict(tables))
+    schema = as_schema(_parse_schema(schema_text)) if schema_text else None
+    return Database.from_dict(tables, schema=schema)
+
+
+def _analyze_stats(path, schema_text):
+    from repro.analysis import DatabaseStatistics
+
+    return DatabaseStatistics.sample(_load_database(path, schema_text))
 
 
 def _cmd_analyze(args):
@@ -357,7 +373,7 @@ def _cmd_analyze(args):
 
     engine = ContainmentEngine()
     base_schema = _parse_schema(args.schema) if args.schema else None
-    stats = _analyze_stats(args.data) if args.data else None
+    stats = _analyze_stats(args.data, args.schema) if args.data else None
     over_budget = 0
     reports = []
     for target in args.targets:
@@ -417,12 +433,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_eval(args):
-    from repro.objects import Database
     from repro.coql import parse_coql, evaluate_coql
 
-    with open(args.data) as handle:
-        tables = json.load(handle)
-    db = Database.from_dict(tables)
+    db = _load_database(args.data, args.schema)
     answer = evaluate_coql(parse_coql(args.query), db)
     for element in answer:
         print(element)

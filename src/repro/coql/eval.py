@@ -41,7 +41,7 @@ def _eval(expr, database, env):
             raise EvaluationError("unbound variable %s" % expr.name)
         return env[expr.name]
     if isinstance(expr, RelRef):
-        return CSet(database[expr.name].rows)
+        return database[expr.name].rows
     if isinstance(expr, Proj):
         record = _eval(expr.expr, database, env)
         if not isinstance(record, Record):

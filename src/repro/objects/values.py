@@ -133,6 +133,9 @@ class Record:
 class CSet:
     """An immutable finite set of complex objects.
 
+    Iteration follows :func:`sort_key` order under any hash seed; a set
+    sorts itself once, on its first iteration, and keeps that order.
+
     >>> s = CSet([1, 2, 2])
     >>> len(s)
     2
@@ -140,7 +143,7 @@ class CSet:
     True
     """
 
-    __slots__ = ("_elements", "_hash")
+    __slots__ = ("_elements", "_hash", "_order")
 
     def __init__(self, elements=()):
         checked = []
@@ -157,8 +160,15 @@ class CSet:
         raise AttributeError("CSet is immutable")
 
     def __iter__(self):
-        # Deterministic iteration order (useful for stable output/tests).
-        return iter(sorted(self._elements, key=sort_key))
+        # Deterministic iteration order (stable output and tests): the
+        # sort_key order, computed on the first iteration and memoized.
+        # Racing threads store equal tuples.
+        try:
+            return iter(self._order)
+        except AttributeError:
+            order = tuple(sorted(self._elements, key=sort_key))
+            object.__setattr__(self, "_order", order)
+            return iter(order)
 
     def __len__(self):
         return len(self._elements)

@@ -28,8 +28,9 @@ canonical NaN (so NaN-carrying inputs still key deterministically);
 ints and floats keep distinct tags, so ``1`` and ``1.0`` never collide.  Immutable
 ``__slots__`` value objects (AST nodes, terms, grouping queries, types)
 are encoded as their class name plus slot values — skipping the
-``_hash`` and ``_digest`` memo slots and the parser-attached ``_span``
-metadata, which by design never participate in equality.
+``_hash`` and ``_digest`` memo slots, a set's ``_order`` memo and the
+parser-attached ``_span`` metadata, which by design never participate
+in equality.
 
 Digest memo: the value classes that key derivation walks (COQL
 ``Expr`` nodes, ``Atom``, ``ConjunctiveQuery``, ``GroupingNode``,
@@ -51,7 +52,7 @@ __all__ = ["fingerprint", "artifact_key"]
 _UNSET = object()
 
 #: Slot names that are memoization / provenance metadata, never content.
-_METADATA_SLOTS = frozenset({"_hash", "_span", "_digest"})
+_METADATA_SLOTS = frozenset({"_hash", "_span", "_digest", "_order"})
 
 #: ``{class: (header, ((slot name, encoded name), ...), memoized)}``:
 #: the encoding's per-class constants, derived once from the MRO.

@@ -10,6 +10,10 @@ from repro.coql import minimize_coql, weakly_equivalent, parse_coql
 from repro.coql.ast import Select
 
 SCHEMA = {"r": ("a", "b"), "s": ("k", "b")}
+NESTED_QUERY = (
+    "select [a: x.a, kids: select [b: y.b] from y in s where y.k = x.a]"
+    " from x in r"
+)
 
 
 class TestMinimize:
@@ -119,6 +123,32 @@ class TestCli:
         )
         assert code == 0
         assert "[v: 1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "tables",
+        [{"r": [{"a": 1, "b": 2}], "s": []}, {"r": [{"a": 1, "b": 2}]}],
+        ids=["empty-relation", "missing-relation"],
+    )
+    def test_eval_types_the_database_by_schema(self, tmp_path, capsys,
+                                                tables):
+        data = tmp_path / "db.json"
+        data.write_text(json.dumps(tables))
+        code = main(["eval", "--schema", "r:a,b;s:k,b", "--data", str(data),
+                     NESTED_QUERY])
+        assert code == 0
+        assert capsys.readouterr().out == "[a: 1, kids: {}]\n"
+
+    def test_analyze_data_types_empty_relations_by_schema(self, tmp_path,
+                                                          capsys):
+        data = tmp_path / "db.json"
+        data.write_text(json.dumps({"r": [{"a": 1, "b": 2}], "s": []}))
+        code = main(["analyze", "--schema", "r:a,b;s:k,b", "--data",
+                     str(data), "--format", "json", NESTED_QUERY])
+        assert code == 0
+        (entry,) = json.loads(capsys.readouterr().out)["targets"]
+        assert entry["certificate"]["fanout"] == {"$.head.kids": 0}
+        assert entry["certificate"]["output_cardinality"] == {"lo": 1,
+                                                              "hi": 1}
 
     def test_minimize(self, capsys):
         code = main(

@@ -173,6 +173,10 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate_coql(VarRef("zzz"), db())
 
+    def test_relation_name_reads_the_relation_in_place(self):
+        database = db()
+        assert evaluate_coql(RelRef("r"), database) is database["r"].rows
+
     def test_set_of_sets_head(self):
         q = parse_coql("select (select {y.b} from y in s where y.k = x.a) from x in r")
         answer = evaluate_coql(q, db())

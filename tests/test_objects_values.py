@@ -1,9 +1,15 @@
 """Unit tests for complex-object values (Record, CSet, atoms)."""
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValueConstructionError
 from repro.objects import Record, CSet, is_atom, is_complex_object, sort_key
+from repro.objects import values
+from repro.pipeline.fingerprint import fingerprint
 
 
 class TestAtoms:
@@ -94,6 +100,21 @@ class TestCSet:
         s = CSet(["b", "a", "c"])
         assert list(s) == list(s) == ["a", "b", "c"]
 
+    def test_sorts_once(self, monkeypatch):
+        calls = []
+
+        def counting_sort_key(value):
+            calls.append(value)
+            return sort_key(value)
+
+        monkeypatch.setattr(values, "sort_key", counting_sort_key)
+        s = CSet(["b", "a", "c"])
+        assert list(s) == ["a", "b", "c"]
+        assert list(s) == ["a", "b", "c"]
+        # The first iteration keys each element once; the second reads
+        # the memoized order.
+        assert len(calls) == 3
+
     def test_invalid_element_rejected(self):
         with pytest.raises(ValueConstructionError):
             CSet([object()])
@@ -102,6 +123,82 @@ class TestCSet:
         s = CSet([1])
         with pytest.raises(AttributeError):
             s.x = 1
+
+
+_ATOMS = st.one_of(
+    st.integers(-2, 2), st.sampled_from(["a", "b", "c"]), st.booleans(),
+)
+_INNER = st.builds(lambda a, b: Record(a=a, b=b), _ATOMS, _ATOMS)
+_OUTER = st.builds(
+    lambda k, kids: Record(k=k, kids=CSet(kids)),
+    _ATOMS, st.lists(_INNER, max_size=4),
+)
+
+
+def _rebuild(value):
+    """An equal value built from new objects, none of them iterated."""
+    if isinstance(value, CSet):
+        return CSet([_rebuild(v) for v in value.elements()])
+    if isinstance(value, Record):
+        return Record({k: _rebuild(v) for k, v in value.items()})
+    return value
+
+
+def _plain_repr(value):
+    """``repr`` spelled out with an explicit sort, not the order memo."""
+    if isinstance(value, CSet):
+        ordered = sorted(value.elements(), key=sort_key)
+        return "{%s}" % ", ".join(_plain_repr(v) for v in ordered)
+    if isinstance(value, Record):
+        return "[%s]" % ", ".join(
+            "%s: %s" % (k, _plain_repr(v)) for k, v in value.items()
+        )
+    return repr(value)
+
+
+class TestOrderMemo:
+    """A set's memoized iteration order is invisible to every reader."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_OUTER, max_size=5))
+    def test_memo_changes_no_observable(self, rows):
+        s = CSet(rows)
+        before = fingerprint(s)
+        expected = sorted(s.elements(), key=sort_key)
+        assert list(s) == expected
+        assert list(s) == expected
+        for row in s:
+            assert list(row["kids"]) == sorted(
+                row["kids"].elements(), key=sort_key
+            )
+        fresh = _rebuild(s)
+        assert s == fresh and hash(s) == hash(fresh) and len(s) == len(fresh)
+        assert all(row in fresh for row in s)
+        assert fingerprint(s) == before == fingerprint(fresh)
+        assert repr(s) == _plain_repr(s) == repr(fresh)
+
+    def test_threads_read_one_order(self):
+        rows = [Record(a=i % 7, b=CSet([i, -i])) for i in range(40)]
+        expected = sorted(CSet(rows).elements(), key=sort_key)
+        sets = [CSet(rows) for __ in range(50)]
+        seen = []
+
+        def reader():
+            seen.extend(tuple(s) for s in sets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for __ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 * len(sets)
+        assert set(seen) == {tuple(expected)}
 
 
 class TestWellFormedness:
