@@ -80,7 +80,7 @@ class Pipeline:
         )
 
 
-def pipelines_equivalent(first, second, schema, witnesses=None):
+def pipelines_equivalent(first, second, schema):
     """Decide equivalence of two nest/unnest pipelines (NP-complete).
 
     Raises :class:`UnsupportedQueryError` when a pipeline falls outside
@@ -96,13 +96,12 @@ def pipelines_equivalent(first, second, schema, witnesses=None):
                 "falls back to the open general case" % (pipe,)
             )
     # Empty-set-free: equivalence coincides with weak equivalence.
-    return weakly_equivalent(q1, q2, resolved, witnesses=witnesses)
+    return weakly_equivalent(q1, q2, resolved)
 
 
-def pipeline_contained(sup, sub, schema, witnesses=None):
+def pipeline_contained(sup, sub, schema):
     """Decide ``sub ⊑ sup`` (Hoare order) for two pipelines."""
     resolved = as_schema(schema)
     return coql_contains(
-        sup.to_coql(resolved), sub.to_coql(resolved), resolved,
-        witnesses=witnesses,
+        sup.to_coql(resolved), sub.to_coql(resolved), resolved
     )

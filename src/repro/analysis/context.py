@@ -27,8 +27,6 @@ class AnalysisConfig:
         the minimizer and therefore the containment oracle itself).  The
         engine's opt-in pre-check passes False so analysis stays a
         cheap companion to the check it precedes.
-    :param witnesses: witness-copy count forwarded to the minimizer and
-        the cost certificate (COQL011).
     :param stats: optional
         :class:`repro.analysis.interp.DatabaseStatistics` sampled from a
         witness database; sharpens the interpreter's cardinality
@@ -39,14 +37,12 @@ class AnalysisConfig:
         COQL012) decide their oracle calls with the chase enabled.
     """
 
-    __slots__ = ("complexity_budget", "expensive", "witnesses", "stats",
-                 "constraints")
+    __slots__ = ("complexity_budget", "expensive", "stats", "constraints")
 
-    def __init__(self, complexity_budget=10**8, expensive=True,
-                 witnesses=None, stats=None, constraints=()):
+    def __init__(self, complexity_budget=10**8, expensive=True, stats=None,
+                 constraints=()):
         self.complexity_budget = complexity_budget
         self.expensive = expensive
-        self.witnesses = witnesses
         self.stats = stats
         self.constraints = tuple(constraints)
 

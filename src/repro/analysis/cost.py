@@ -178,7 +178,7 @@ def check_certified_complexity(ctx, rule):
         return []
     try:
         certificate = ctx.engine.pipeline().analyze_cost(
-            encoded.query, encoded.query, ctx.config.witnesses
+            encoded.query, encoded.query
         )
     except ReproError:
         return []
@@ -191,7 +191,7 @@ def check_certified_complexity(ctx, rule):
         "certified containment search bound %s nodes exceeds the budget "
         "%.1e (%d obligation pattern(s) x witness stages %s; worst "
         "component bound %s); simulation is NP-complete — consider "
-        "witnesses bounds or a timeout" % (
+        "a timeout" % (
             _fmt(certificate.total_bound),
             float(ctx.config.complexity_budget),
             certificate.patterns,

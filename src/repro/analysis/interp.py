@@ -968,7 +968,6 @@ def cost_certificate(
     schema: Any,
     against: Any = None,
     engine: Any = None,
-    witnesses: Optional[int] = None,
     stats: Optional[DatabaseStatistics] = None,
 ) -> CostCertificate:
     """Certificate for a COQL query (optionally against a superquery).
@@ -1012,7 +1011,7 @@ def cost_certificate(
         pair_certificates = [
             cost_certificate(
                 sub_branch, schema, against=sup_branch, engine=engine,
-                witnesses=witnesses, stats=stats,
+                stats=stats,
             )
             for sub_branch in sub_branches
             for sup_branch in sup_branches
@@ -1044,9 +1043,7 @@ def cost_certificate(
     if verdict is not None:
         core = _trivial_certificate(name, bool(verdict))
     else:
-        core = engine.pipeline().analyze_cost(
-            sub_query, sup_query, witnesses
-        )
+        core = engine.pipeline().analyze_cost(sub_query, sup_query)
     return replace(
         core,
         fanout=facts.fanout(),

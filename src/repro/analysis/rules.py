@@ -354,10 +354,7 @@ def check_redundant(ctx, rule):
     from repro.coql.minimize import minimize_coql
 
     try:
-        minimized = minimize_coql(
-            ctx.query, ctx.schema, witnesses=ctx.config.witnesses,
-            engine=ctx.engine,
-        )
+        minimized = minimize_coql(ctx.query, ctx.schema, engine=ctx.engine)
     except ReproError:
         return []
     if minimized == ctx.query:
@@ -402,7 +399,7 @@ def check_complexity(ctx, rule):
     (patterns) x Σ |body|^|body| per set node, the brute-force
     assignment count — and only its order of magnitude matters: past
     ``config.complexity_budget`` a check against a same-shaped query
-    may be impractical without witnesses bounds or timeouts.
+    may be impractical without a timeout.
     """
     encoded = ctx.encoded()
     if encoded is None or encoded.is_empty:
@@ -423,8 +420,8 @@ def check_complexity(ctx, rule):
     return [rule.diagnostic(
         "estimated containment search space ~%.1e candidate assignments "
         "(%d truncation pattern(s) x %d homomorphism candidates) exceeds "
-        "the budget %.1e; simulation is NP-complete, consider witnesses "
-        "bounds or a timeout" % (
+        "the budget %.1e; simulation is NP-complete, consider a timeout"
+        % (
             float(estimate), patterns, assignments,
             float(ctx.config.complexity_budget),
         ),
@@ -472,8 +469,7 @@ def check_redundant_union_branch(ctx, rule):
     def covered(candidate, sibling):
         try:
             return ctx.engine.contains(
-                sibling, candidate, ctx.schema,
-                witnesses=ctx.config.witnesses, constraints=constraints,
+                sibling, candidate, ctx.schema, constraints=constraints
             )
         except ReproError:
             return False

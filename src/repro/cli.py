@@ -6,7 +6,7 @@ Usage::
     python -m repro matrix   --schema 'r:a,b' Q1 Q2 Q3 [--jobs N --timeout-s T]
     python -m repro equiv    --schema 'r:a,b' Q1 Q2 [--weak]
     python -m repro lint     --schema 'r:a,b' QUERY_OR_FILE... [--format json --explain COQLNNN]
-    python -m repro analyze  --schema 'r:a,b' QUERY_OR_FILE... [--against Q --witnesses N --budget B --data db.json --format json]
+    python -m repro analyze  --schema 'r:a,b' QUERY_OR_FILE... [--against Q --budget B --data db.json --format json]
     python -m repro eval     --schema 'r:a,b' --data db.json QUERY
     python -m repro minimize --schema 'r:a,b' QUERY
     python -m repro cq-contain 'q(X) :- r(X,Y)' 'q(X) :- r(X,Y), s(Y)'
@@ -128,7 +128,7 @@ def _cmd_contain(args):
     constraints = _load_constraints(args.constraints)
     if args.jobs is not None or args.timeout_s is not None:
         engine = ParallelContainmentEngine(
-            jobs=args.jobs, timeout_s=args.timeout_s, method=args.method,
+            jobs=args.jobs, timeout_s=args.timeout_s,
             store_path=args.store_path, constraints=constraints,
         )
         with engine:
@@ -137,7 +137,7 @@ def _cmd_contain(args):
         engine = ContainmentEngine(
             store_path=args.store_path, constraints=constraints
         )
-        verdict = engine.contains(args.sup, args.sub, schema, method=args.method)
+        verdict = engine.contains(args.sup, args.sub, schema)
         store = engine.store()
         if hasattr(store, "flush"):
             store.flush()
@@ -162,7 +162,7 @@ def _cmd_matrix(args):
 
     schema = _parse_schema(args.schema)
     engine = ParallelContainmentEngine(
-        jobs=args.jobs, timeout_s=args.timeout_s, method=args.method,
+        jobs=args.jobs, timeout_s=args.timeout_s,
         constraints=_load_constraints(args.constraints),
     )
     with engine:
@@ -194,12 +194,10 @@ def _cmd_equiv(args):
     schema = _parse_schema(args.schema)
     engine = ContainmentEngine(constraints=_load_constraints(args.constraints))
     if args.weak:
-        verdict = engine.weakly_equivalent(
-            args.q1, args.q2, schema, method=args.method
-        )
+        verdict = engine.weakly_equivalent(args.q1, args.q2, schema)
         print("weakly equivalent" if verdict else "NOT weakly equivalent")
     else:
-        verdict = engine.equivalent(args.q1, args.q2, schema, method=args.method)
+        verdict = engine.equivalent(args.q1, args.q2, schema)
         print("equivalent" if verdict else "NOT equivalent")
     if args.stats:
         _print_stats(engine)
@@ -389,8 +387,7 @@ def _cmd_analyze(args):
                 "directive" % (target,)
             )
         certificate = engine.cost_certificate(
-            query, schema, against=args.against, witnesses=args.witnesses,
-            stats=stats,
+            query, schema, against=args.against, stats=stats
         )
         if args.budget is not None and certificate.total_bound > args.budget:
             over_budget += 1
@@ -560,10 +557,6 @@ def build_parser():
 
     p = sub.add_parser("contain", help="decide SUB ⊑ SUP for COQL queries")
     p.add_argument("--schema", required=True)
-    p.add_argument("--method", choices=("certificate", "canonical"),
-                   default="certificate",
-                   help="decision procedure (canonical: the slow "
-                        "cross-validation path)")
     p.add_argument("--stats", action="store_true",
                    help="print engine statistics (cache hits, obligation "
                         "and homomorphism-search counts, stage times) to "
@@ -591,8 +584,6 @@ def build_parser():
                        help="pairwise containment matrix of COQL queries, "
                             "sharded across worker processes")
     p.add_argument("--schema", required=True)
-    p.add_argument("--method", choices=("certificate", "canonical"),
-                   default="certificate")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: one per CPU)")
     p.add_argument("--timeout-s", type=float, default=None, dest="timeout_s",
@@ -612,9 +603,6 @@ def build_parser():
     p.add_argument("--schema", required=True)
     p.add_argument("--weak", action="store_true",
                    help="decide weak equivalence (always decidable)")
-    p.add_argument("--method", choices=("certificate", "canonical"),
-                   default="certificate",
-                   help="decision procedure for both directions")
     p.add_argument("--stats", action="store_true",
                    help="print engine statistics to stderr")
     p.add_argument("--trace-out", default=None, dest="trace_out",
@@ -666,11 +654,6 @@ def build_parser():
     p.add_argument("--against", default=None, metavar="QUERY",
                    help="superquery to certify the check against "
                         "(default: the query itself)")
-    p.add_argument("--witnesses", type=int, default=None,
-                   help="pin the witness-copy stage (default: bound one "
-                        "copy plus the completeness bound, the schedule "
-                        "of a check under constraints; an unconstrained "
-                        "check searches only the first)")
     p.add_argument("--budget", type=int, default=None,
                    help="exit 1 when a certificate's total node bound "
                         "exceeds this")

@@ -31,10 +31,7 @@ callers that need a cold path.
 
 import itertools
 
-from repro.errors import (
-    IncomparableQueriesError,
-    UnsupportedQueryError,
-)
+from repro.errors import IncomparableQueriesError
 from repro.objects.types import RecordType, ATOM
 from repro.cq.homomorphism import find_homomorphism, ground_atoms_of_query
 from repro.cq.query import frozen_constant, ConjunctiveQuery
@@ -83,26 +80,19 @@ def prepare(query, schema, name="q"):
     return Pipeline(store=None).prepare(query, schema, name)
 
 
-def contains(sup, sub, schema, witnesses=None, method="certificate"):
+def contains(sup, sub, schema):
     """True iff ``sub ⊑ sup`` on every database (Theorem 4.1).
 
     :param sup: the containing query (text or :class:`Expr`).
     :param sub: the contained query.
     :param schema: flat input schema (``{name: attrs}``/RecordTypes/DB).
-    :param method: ``"certificate"`` (the NP certificate search, default)
-        or ``"canonical"`` (semantic evaluation of the simulation
-        condition over the canonical database family — an independent
-        implementation kept for cross-validation and pedagogy; slower).
     """
     from repro.engine import default_engine
 
-    return default_engine().contains(
-        sup, sub, schema, witnesses=witnesses, method=method
-    )
+    return default_engine().contains(sup, sub, schema)
 
 
-def _contains_encoded(sup_encoded, sub_encoded, witnesses=None,
-                      method="certificate"):
+def _contains_encoded(sup_encoded, sub_encoded):
     if not sub_encoded.is_empty and not sup_encoded.is_empty:
         if not shapes_compatible(sub_encoded.shape, sup_encoded.shape):
             raise IncomparableQueriesError(
@@ -116,23 +106,13 @@ def _contains_encoded(sup_encoded, sub_encoded, witnesses=None,
         raise IncomparableQueriesError(
             "queries have incompatible nested structure"
         )
-    if method == "certificate":
-        def decide(a, b):
-            return is_simulated(a, b, witnesses=witnesses)
-    elif method == "canonical":
-        from repro.grouping.bruteforce import check_simulation_on_canonical
-
-        def decide(a, b):
-            return check_simulation_on_canonical(a, b, max_witnesses=witnesses)
-    else:
-        raise UnsupportedQueryError("unknown method %r" % (method,))
     # After paired_encoding the two queries have identical path sets, so
     # patterns derived from sub_query are valid truncations of sup_query
     # as well; GroupingQuery.truncate rejects any pattern that is not.
     for pattern in _obligation_patterns(sub_query):
         sub_t = sub_query.truncate(pattern)
         sup_t = sup_query.truncate(pattern)
-        if not decide(sub_t, sup_t):
+        if not is_simulated(sub_t, sup_t):
             return False
     return True
 
@@ -187,17 +167,11 @@ def _provably_nonempty(query, path):
     return find_homomorphism(child_body, target, fixed=fixed) is not None
 
 
-def weakly_equivalent(q1, q2, schema, witnesses=None, method="certificate"):
-    """True iff ``Q1 ⊑ Q2`` and ``Q2 ⊑ Q1`` (decidable in general).
-
-    *method* selects the decision procedure for **both** directions,
-    exactly as in :func:`contains`.
-    """
+def weakly_equivalent(q1, q2, schema):
+    """True iff ``Q1 ⊑ Q2`` and ``Q2 ⊑ Q1`` (decidable in general)."""
     from repro.engine import default_engine
 
-    return default_engine().weakly_equivalent(
-        q1, q2, schema, witnesses=witnesses, method=method
-    )
+    return default_engine().weakly_equivalent(q1, q2, schema)
 
 
 def empty_set_free(query, schema):
@@ -211,7 +185,7 @@ def empty_set_free(query, schema):
     return default_engine().empty_set_free(query, schema)
 
 
-def equivalent(q1, q2, schema, witnesses=None, method="certificate"):
+def equivalent(q1, q2, schema):
     """Decide equivalence for empty-set-free queries.
 
     By the paper's theorem, weak equivalence coincides with equivalence
@@ -220,11 +194,7 @@ def equivalent(q1, q2, schema, witnesses=None, method="certificate"):
     the general equivalence question is the open problem the paper
     answers only partially, and this function raises
     :class:`UnsupportedQueryError` — use :func:`weakly_equivalent`.
-
-    *method* is threaded through to both containment directions.
     """
     from repro.engine import default_engine
 
-    return default_engine().equivalent(
-        q1, q2, schema, witnesses=witnesses, method=method
-    )
+    return default_engine().equivalent(q1, q2, schema)

@@ -79,7 +79,7 @@ class ContainmentExplanation:
         )
 
 
-def explain_containment(sup, sub, schema, witnesses=None):
+def explain_containment(sup, sub, schema):
     """Like ``coql.contains(sup, sub, schema)`` but with evidence.
 
     :returns: a :class:`ContainmentExplanation`.
@@ -101,12 +101,12 @@ def explain_containment(sup, sub, schema, witnesses=None):
     for pattern in _obligation_patterns(sub_query):
         sub_t = sub_query.truncate(pattern)
         sup_t = sup_query.truncate(pattern)
-        certificate = simulation_certificate(sub_t, sup_t, witnesses=witnesses)
+        certificate = simulation_certificate(sub_t, sup_t)
         if certificate is not None:
             certificates[pattern] = certificate
             continue
         counterexample, sub_ans, sup_ans = _find_counterexample(
-            sub_encoded, sup_encoded, sub_t, sup_t, witnesses, _schema
+            sub_encoded, sup_encoded, sub_t, sup_t, _schema
         )
         return ContainmentExplanation(
             holds=False,
@@ -118,11 +118,10 @@ def explain_containment(sup, sub, schema, witnesses=None):
     return ContainmentExplanation(holds=True, certificates=certificates)
 
 
-def _find_counterexample(sub_encoded, sup_encoded, sub_t, sup_t, witnesses,
-                         schema):
+def _find_counterexample(sub_encoded, sup_encoded, sub_t, sup_t, schema):
     """Search the canonical family of the failing obligation (and its
     sub-databases) for a database where domination fails."""
-    for __, database in canonical_databases(sub_t, sup_t, witnesses):
+    for __, database in canonical_databases(sub_t, sup_t):
         named = _rename_to_schema(database, schema)
         for candidate in _with_subdatabases(named):
             sub_ans = _answer(sub_encoded, candidate)

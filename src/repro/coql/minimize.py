@@ -21,7 +21,7 @@ from repro.coql.containment import weakly_equivalent, as_schema
 __all__ = ["minimize_coql"]
 
 
-def minimize_coql(query, schema, witnesses=None, engine=None):
+def minimize_coql(query, schema, engine=None):
     """Return a weakly equivalent query with redundant parts removed.
 
     Greedy fixpoint: repeatedly try to drop one generator or one
@@ -50,21 +50,19 @@ def minimize_coql(query, schema, witnesses=None, engine=None):
     while changed:
         changed = False
         for candidate in _candidates(current):
-            if _equivalent_safely(
-                current, candidate, schema, witnesses, engine
-            ):
+            if _equivalent_safely(current, candidate, schema, engine):
                 current = candidate
                 changed = True
                 break
     return current
 
 
-def _equivalent_safely(original, candidate, schema, witnesses, engine=None):
+def _equivalent_safely(original, candidate, schema, engine=None):
     decide = (
         engine.weakly_equivalent if engine is not None else weakly_equivalent
     )
     try:
-        return decide(original, candidate, schema, witnesses)
+        return decide(original, candidate, schema)
     except (UnsupportedQueryError, IncomparableQueriesError, ReproError):
         return False
 

@@ -141,7 +141,7 @@ class ViewCatalog:
             ]
         return out
 
-    def analyze(self, query, with_counterexamples=False, witnesses=None):
+    def analyze(self, query, with_counterexamples=False):
         """Report every view's usability for *query*.
 
         :returns: ``{view name: ViewReport}``.
@@ -150,7 +150,6 @@ class ViewCatalog:
         usable_verdicts = self._engine.contains_many(
             [(self._views[name], query) for name in names],
             self._schema,
-            witnesses=witnesses,
             on_error="capture",
             constraints=self._constraints,
         )
@@ -162,19 +161,19 @@ class ViewCatalog:
             exact = False
             if usable:
                 exact = self._engine.contains(
-                    query, self._views[name], self._schema, witnesses,
+                    query, self._views[name], self._schema,
                     constraints=self._constraints,
                 )
             counterexample = None
             if not usable and with_counterexamples:
                 explanation = explain_containment(
-                    self._views[name], query, self._schema, witnesses
+                    self._views[name], query, self._schema
                 )
                 counterexample = explanation.counterexample
             reports[name] = ViewReport(name, usable, exact, True, counterexample)
         return reports
 
-    def containment_matrix(self, witnesses=None, jobs=None, timeout_s=None):
+    def containment_matrix(self, jobs=None, timeout_s=None):
         """The pairwise containment matrix of the registered views.
 
         :param jobs: when given (> 1), shard the matrix across a
@@ -195,17 +194,14 @@ class ViewCatalog:
                 jobs=jobs, timeout_s=timeout_s, engine=self._engine,
                 constraints=self._constraints,
             ) as parallel:
-                matrix = parallel.pairwise_matrix(
-                    queries, self._schema, witnesses=witnesses
-                )
+                matrix = parallel.pairwise_matrix(queries, self._schema)
         else:
             matrix = self._engine.pairwise_matrix(
-                queries, self._schema, witnesses=witnesses,
-                constraints=self._constraints,
+                queries, self._schema, constraints=self._constraints,
             )
         return names, matrix
 
-    def classify(self, query, witnesses=None, jobs=None, timeout_s=None):
+    def classify(self, query, jobs=None, timeout_s=None):
         """Classify every registered view against *query*.
 
         The semantic-cache entry point: each view is labelled with one
@@ -230,27 +226,24 @@ class ViewCatalog:
                 jobs=jobs, timeout_s=timeout_s, engine=self._engine,
                 constraints=self._constraints,
             ) as parallel:
-                labels = parallel.classify_many(
-                    query, queries, self._schema, witnesses=witnesses
-                )
+                labels = parallel.classify_many(query, queries, self._schema)
         else:
             labels = self._engine.classify_many(
-                query, queries, self._schema, witnesses=witnesses,
-                constraints=self._constraints,
+                query, queries, self._schema, constraints=self._constraints,
             )
         return dict(zip(names, labels))
 
-    def usable_views(self, query, witnesses=None):
+    def usable_views(self, query):
         """The names of views that can answer *query*, sorted."""
         return tuple(
             name
-            for name, report in sorted(self.analyze(query, witnesses=witnesses).items())
+            for name, report in sorted(self.analyze(query).items())
             if report.usable
         )
 
-    def best_views(self, query, witnesses=None):
+    def best_views(self, query):
         """Usable views, exact ones first (the cheapest rewritings)."""
-        reports = self.analyze(query, witnesses=witnesses)
+        reports = self.analyze(query)
         exact = [n for n, r in sorted(reports.items()) if r.exact]
         merely_usable = [
             n for n, r in sorted(reports.items()) if r.usable and not r.exact

@@ -13,17 +13,17 @@ exactly those boundaries:
   queries are parsed first, so a query text and its parsed AST share
   one entry;
 * simulation verdicts (``obligation_verdicts``) are memoized per
-  truncated *(sub, sup)* obligation pair (plus witnesses and method),
-  so obligations shared across truncation patterns — and across both
-  directions of an equivalence check, or across the N×N matrix of a
-  view catalog — are decided once;
+  truncated *(sub, sup)* obligation pair (plus the engine's method and
+  the inclusion dependencies, if any), so obligations shared across
+  truncation patterns — and across both directions of an equivalence
+  check, or across the N×N matrix of a view catalog — are decided once;
 * the provably-non-empty test (``nonempty``) is memoized per *(grouping
   query, path)*, shared between obligation enumeration and
   :meth:`empty_set_free`;
 * compiled simulation targets (``targets``, the witness-augmented
   canonical database plus its inverted index, see
   :class:`repro.grouping.simulation.SimulationTarget`) are memoized per
-  *(grouping query, witnesses)* — constrained witness escalation,
+  *(grouping query, witness copies)* — constrained witness escalation,
   repeated checks against one side, ``pairwise_matrix`` rows and the
   weak-equivalence truncation sweep all reuse the compiled target
   instead of rebuilding and re-indexing it.
@@ -121,21 +121,22 @@ def _verdict_is_stable(verdict):
     )
 
 
-def resolve_classifications(pipeline, query, candidates, schema,
-                            witnesses, method, decide_pairs,
-                            constraints=()):
+def resolve_classifications(engine, query, candidates, schema,
+                            decide_pairs, constraints=()):
     """Label every candidate view against *query*, cache-first.
 
     The shared machinery behind :meth:`ContainmentEngine.classify_many`
     and :meth:`repro.engine.parallel.ParallelContainmentEngine.\
-classify_many`: labels are cached in the pipeline's store under the
+classify_many`: labels are cached in *engine*'s store under the
     ``classification`` artifact kind (content-keyed on both ASTs, the
-    schema, and the decision knobs, so they flow through a
+    schema, the engine's method and *constraints* — the dependencies
+    *decide_pairs* decides under — so they flow through a
     :class:`~repro.pipeline.persist.TieredStore` to other processes),
     and only the missing pairs reach *decide_pairs* — one batch of
     interleaved ``(candidate, query), (query, candidate)`` containment
     checks with errors captured.
     """
+    pipeline = engine.pipeline()
     schema = as_schema(schema)
     if isinstance(query, str):
         query = pipeline.parse(query)
@@ -151,16 +152,10 @@ classify_many`: labels are cached in the pipeline's store under the
     constraints = tuple(constraints)
     for index, candidate in enumerate(candidates):
         if store is not None:
-            if constraints:
-                keys[index] = artifact_key(
-                    "classification", query, candidate, schema_items,
-                    witnesses, method, constraints,
-                )
-            else:
-                keys[index] = artifact_key(
-                    "classification", query, candidate, schema_items,
-                    witnesses, method,
-                )
+            keys[index] = artifact_key(
+                "classification", query, candidate, schema_items,
+                *engine._decision(constraints),
+            )
             cached = store.lookup("classification", keys[index])
             if cached is not MISSING:
                 pipeline._tally("classification_hits")
@@ -207,12 +202,17 @@ class ContainmentEngine:
     default instance): same arguments, same verdicts, same exceptions —
     plus caching across calls, :meth:`stats`, and :meth:`tracer`.
 
-    :param witnesses: default witness-copy count for simulation searches
-        (None = one copy, which decides an unconstrained check; a check
-        under *constraints* escalates to the completeness bound when one
-        copy fails).
-    :param method: default decision method, ``"certificate"`` or
-        ``"canonical"``.
+    Every check searches one witness copy per node, which decides an
+    unconstrained check (the retraction lemma, DESIGN.md §2); a check
+    under *constraints* escalates to the completeness bound when one
+    copy fails.
+
+    :param method: the decision method, ``"certificate"`` (the NP
+        certificate search) or ``"canonical"`` (semantic evaluation of
+        the simulation condition over the canonical database family —
+        a brute-force reference for tests, which rejects *constraints*).
+        Checked here: any other value raises
+        :class:`UnsupportedQueryError`.
     :param prepare_cache_size: entries in the ``prepare`` artifact
         segment (0 disables, None unbounded).
     :param verdict_cache_size: entries in the ``obligation_verdicts``
@@ -251,16 +251,16 @@ class ContainmentEngine:
         *satisfying the dependencies* (the sub-side canonical witnesses
         are saturated by the memoized ``chase`` stage before the
         simulation search).  Per-call ``constraints=`` overrides the
-        default; the ``canonical`` method rejects constraints.
+        default.
     """
 
-    def __init__(self, witnesses=None, method="certificate",
-                 prepare_cache_size=512, verdict_cache_size=8192,
-                 target_cache_size=1024, store=None, store_path=None,
-                 retain_trace=True, analyze=False, analysis_config=None,
-                 constraints=()):
-        self._default_witnesses = witnesses
-        self._default_method = method
+    def __init__(self, method="certificate", prepare_cache_size=512,
+                 verdict_cache_size=8192, target_cache_size=1024,
+                 store=None, store_path=None, retain_trace=True,
+                 analyze=False, analysis_config=None, constraints=()):
+        if method not in ("certificate", "canonical"):
+            raise UnsupportedQueryError("unknown method %r" % (method,))
+        self._method = method
         self._constraints = tuple(constraints)
         if store is not None and store_path is not None:
             raise UnsupportedQueryError(
@@ -376,16 +376,16 @@ class ContainmentEngine:
         pipeline = self._pipeline
         return lambda atoms: pipeline.chase(atoms, constraints, schema)
 
-    def _decider(self, method, witnesses, constraints=(), schema=None):
-        if method == "certificate":
-            cache = self._pipeline.target_cache()
-            chase = self._chase_hook(constraints, schema)
-            chase_key = tuple(constraints) if constraints else None
-            return lambda a, b: is_simulated(
-                a, b, witnesses=witnesses, stats=self._stats, cache=cache,
-                chase=chase, chase_key=chase_key,
-            )
-        if method == "canonical":
+    def _decision(self, constraints):
+        """What this engine's verdicts under *constraints* are decided
+        by, as store-key components: the method, then the dependency
+        tuple when there is one."""
+        if constraints:
+            return (self._method, tuple(constraints))
+        return (self._method,)
+
+    def _decider(self, constraints=(), schema=None):
+        if self._method == "canonical":
             if constraints:
                 raise UnsupportedQueryError(
                     "the canonical (brute-force) method does not support "
@@ -393,13 +393,17 @@ class ContainmentEngine:
                 )
             from repro.grouping.bruteforce import check_simulation_on_canonical
 
-            return lambda a, b: check_simulation_on_canonical(
-                a, b, max_witnesses=witnesses
-            )
-        raise UnsupportedQueryError("unknown method %r" % (method,))
+            return check_simulation_on_canonical
+        cache = self._pipeline.target_cache()
+        chase = self._chase_hook(constraints, schema)
+        chase_key = tuple(constraints) if constraints else None
+        return lambda a, b: is_simulated(
+            a, b, stats=self._stats, cache=cache, chase=chase,
+            chase_key=chase_key,
+        )
 
-    def _contains_encoded(self, sup_encoded, sub_encoded, witnesses, method,
-                          constraints=(), schema=None):
+    def _contains_encoded(self, sup_encoded, sub_encoded, constraints=(),
+                          schema=None):
         if not sub_encoded.is_empty and not sup_encoded.is_empty:
             if not shapes_compatible(sub_encoded.shape, sup_encoded.shape):
                 raise IncomparableQueriesError(
@@ -415,14 +419,12 @@ class ContainmentEngine:
             raise IncomparableQueriesError(
                 "queries have incompatible nested structure"
             )
-        decide = self._decider(
-            method, witnesses, constraints=constraints, schema=schema
-        )
+        decide = self._decider(constraints=constraints, schema=schema)
+        decision = self._decision(constraints)
         patterns = self._pipeline.enumerate_obligations(sub_query)
         for pattern in patterns:
             if not self._pipeline.decide_obligation(
-                sub_query, sup_query, pattern, witnesses, method, decide,
-                constraints=constraints,
+                sub_query, sup_query, pattern, decide, decision
             ):
                 return False
         return True
@@ -488,7 +490,7 @@ class ContainmentEngine:
         return union_branches(query)
 
     def _branch_verdict(self, sup_branch, sub_branch, schema, schema_items,
-                        witnesses, method, constraints):
+                        constraints):
         """One ``sub_branch ⊑ sup_branch`` verdict of the Sagiv–
         Yannakakis reduction, memoized under kind ``branch_verdict``.
 
@@ -503,7 +505,7 @@ class ContainmentEngine:
         if store is not None:
             key = artifact_key(
                 "branch_verdict", sub_branch, sup_branch, schema_items,
-                witnesses, method, constraints,
+                self._method, constraints,
             )
             cached = store.lookup("branch_verdict", key)
             if cached is not MISSING:
@@ -514,7 +516,6 @@ class ContainmentEngine:
             verdict = self._contains_encoded(
                 self.prepare(sup_branch, schema),
                 self.prepare(sub_branch, schema),
-                witnesses, method,
                 constraints=constraints, schema=schema,
             )
         except IncomparableQueriesError as exc:
@@ -525,7 +526,7 @@ class ContainmentEngine:
         return verdict
 
     def _contains_family(self, sup_branches, sub_branches, schema,
-                         witnesses, method, constraints):
+                         constraints):
         """The Sagiv–Yannakakis all/any reduction over two families.
 
         ``⋃ᵢ subᵢ ⊑ ⋃ⱼ supⱼ`` holds when every sub branch is contained
@@ -549,7 +550,7 @@ class ContainmentEngine:
                 for sup_branch in sup_branches:
                     verdict = self._branch_verdict(
                         sup_branch, sub_branch, schema, schema_items,
-                        witnesses, method, constraints,
+                        constraints,
                     )
                     if isinstance(verdict, Exception):
                         errors.append(verdict)
@@ -567,8 +568,7 @@ class ContainmentEngine:
                     return False
             return True
 
-    def contains(self, sup, sub, schema, witnesses=None, method=None,
-                 constraints=None):
+    def contains(self, sup, sub, schema, constraints=None):
         """True iff ``sub ⊑ sup`` on every database (Theorem 4.1).
 
         Union bodies are expanded to query families and decided by the
@@ -576,10 +576,6 @@ class ContainmentEngine:
         dependencies, default the engine's) make the verdict relative
         to databases satisfying them.
         """
-        if witnesses is None:
-            witnesses = self._default_witnesses
-        if method is None:
-            method = self._default_method
         constraints = self._resolve_constraints(constraints)
         # Normalized once, so every prepare of this check keys on the
         # same RecordType objects and their memoized digests.
@@ -596,27 +592,21 @@ class ContainmentEngine:
                 sub_encoded = self.prepare(sub_branches[0], schema)
                 sup_encoded = self.prepare(sup_branches[0], schema)
                 return self._contains_encoded(
-                    sup_encoded, sub_encoded, witnesses, method,
+                    sup_encoded, sub_encoded,
                     constraints=constraints, schema=schema,
                 )
             return self._contains_family(
-                sup_branches, sub_branches, schema, witnesses, method,
-                constraints,
+                sup_branches, sub_branches, schema, constraints
             )
 
-    def weakly_equivalent(self, q1, q2, schema, witnesses=None, method=None,
-                          constraints=None):
+    def weakly_equivalent(self, q1, q2, schema, constraints=None):
         """True iff ``Q1 ⊑ Q2`` and ``Q2 ⊑ Q1`` (decidable in general).
 
-        Both directions use the same *method* and share the engine's
-        obligation cache, so a self-equivalence check decides each
-        obligation once.  Union queries compare family-wise (both
-        directions of the Sagiv–Yannakakis reduction).
+        Both directions share the engine's obligation cache, so a
+        self-equivalence check decides each obligation once.  Union
+        queries compare family-wise (both directions of the
+        Sagiv–Yannakakis reduction).
         """
-        if witnesses is None:
-            witnesses = self._default_witnesses
-        if method is None:
-            method = self._default_method
         constraints = self._resolve_constraints(constraints)
         schema = as_schema(schema)
         with self._check("weakly_equivalent"):
@@ -627,18 +617,14 @@ class ContainmentEngine:
                 first = self.prepare(first_branches[0], schema)
                 second = self.prepare(second_branches[0], schema)
                 return self._contains_encoded(
-                    second, first, witnesses, method,
-                    constraints=constraints, schema=schema,
+                    second, first, constraints=constraints, schema=schema,
                 ) and self._contains_encoded(
-                    first, second, witnesses, method,
-                    constraints=constraints, schema=schema,
+                    first, second, constraints=constraints, schema=schema,
                 )
             return self._contains_family(
-                second_branches, first_branches, schema, witnesses, method,
-                constraints,
+                second_branches, first_branches, schema, constraints
             ) and self._contains_family(
-                first_branches, second_branches, schema, witnesses, method,
-                constraints,
+                first_branches, second_branches, schema, constraints
             )
 
     def empty_set_free(self, query, schema):
@@ -667,7 +653,7 @@ class ContainmentEngine:
         """
         return self._provably_nonempty(query, path)
 
-    def simulated(self, sub, sup, witnesses=None):
+    def simulated(self, sub, sup):
         """True iff ``sub ⊴ sup`` for :class:`GroupingQuery` arguments.
 
         An instrumented, target-cached wrapper over
@@ -678,12 +664,10 @@ class ContainmentEngine:
         entry point so every shard sharing a subquery compiles its
         target once.
         """
-        if witnesses is None:
-            witnesses = self._default_witnesses
         with self._check("simulated"):
             with self._tracer.span("simulation"):
                 return is_simulated(
-                    sub, sup, witnesses=witnesses, stats=self._stats,
+                    sub, sup, stats=self._stats,
                     cache=self._pipeline.target_cache(),
                 )
 
@@ -717,8 +701,7 @@ class ContainmentEngine:
                 store.store("branch_verdict", key, verdict)
             return verdict
 
-    def cost_certificate(self, query, schema, against=None, witnesses=None,
-                         stats=None):
+    def cost_certificate(self, query, schema, against=None, stats=None):
         """The static :class:`repro.analysis.interp.CostCertificate` for
         checking *query* against *against* (default: itself).
 
@@ -733,16 +716,13 @@ class ContainmentEngine:
         """
         from repro.analysis.interp import cost_certificate
 
-        if witnesses is None:
-            witnesses = self._default_witnesses
         with self._check("analyze_cost"):
             self._stats.tally("analyze_cost_calls")
             return cost_certificate(
-                query, schema, against=against, engine=self,
-                witnesses=witnesses, stats=stats,
+                query, schema, against=against, engine=self, stats=stats,
             )
 
-    def minimize(self, query, schema, witnesses=None):
+    def minimize(self, query, schema):
         """Remove redundant generators/conditions (weak-equivalence
         preserving), deciding candidate equivalences on this engine.
 
@@ -754,11 +734,9 @@ class ContainmentEngine:
         from repro.coql.minimize import minimize_coql
 
         with self._tracer.span("minimize"):
-            return minimize_coql(
-                query, schema, witnesses=witnesses, engine=self
-            )
+            return minimize_coql(query, schema, engine=self)
 
-    def equivalent(self, q1, q2, schema, witnesses=None, method=None):
+    def equivalent(self, q1, q2, schema):
         """Decide equivalence for empty-set-free queries (else raise)."""
         if not self.empty_set_free(q1, schema) or not self.empty_set_free(
             q2, schema
@@ -768,14 +746,12 @@ class ContainmentEngine:
                 "(weak equivalence is decidable in general: use "
                 "weakly_equivalent)"
             )
-        return self.weakly_equivalent(
-            q1, q2, schema, witnesses=witnesses, method=method
-        )
+        return self.weakly_equivalent(q1, q2, schema)
 
     # -- batch entry points --------------------------------------------
 
-    def contains_many(self, pairs, schema, witnesses=None, method=None,
-                      on_error="raise", constraints=None):
+    def contains_many(self, pairs, schema, on_error="raise",
+                      constraints=None):
         """Decide ``sub ⊑ sup`` for every ``(sup, sub)`` pair.
 
         :param pairs: iterable of ``(sup, sub)`` queries.
@@ -796,10 +772,7 @@ class ContainmentEngine:
         for sup, sub in pairs:
             try:
                 out.append(
-                    self.contains(
-                        sup, sub, schema, witnesses=witnesses, method=method,
-                        constraints=constraints,
-                    )
+                    self.contains(sup, sub, schema, constraints=constraints)
                 )
             except (IncomparableQueriesError, UnsupportedQueryError) as exc:
                 if on_error == "raise":
@@ -807,8 +780,7 @@ class ContainmentEngine:
                 out.append(exc)
         return out
 
-    def classify_many(self, query, candidates, schema, witnesses=None,
-                      method=None, constraints=None):
+    def classify_many(self, query, candidates, schema, constraints=None):
         """Label every candidate view's usability for *query*.
 
         For each candidate V the pair of checks ``query ⊑ V`` and
@@ -821,24 +793,17 @@ class ContainmentEngine:
 
         :returns: a list of labels, one per candidate, in order.
         """
-        if witnesses is None:
-            witnesses = self._default_witnesses
-        if method is None:
-            method = self._default_method
         constraints = self._resolve_constraints(constraints)
         self._stats.tally("classify_calls")
         return resolve_classifications(
-            self._pipeline, query, list(candidates), schema,
-            witnesses, method,
+            self, query, list(candidates), schema,
             lambda pairs: self.contains_many(
-                pairs, schema, witnesses=witnesses, method=method,
-                on_error="capture", constraints=constraints,
+                pairs, schema, on_error="capture", constraints=constraints,
             ),
             constraints=constraints,
         )
 
-    def pairwise_matrix(self, queries, schema, witnesses=None, method=None,
-                        constraints=None):
+    def pairwise_matrix(self, queries, schema, constraints=None):
         """The N×N containment matrix of *queries*.
 
         ``matrix[i][j]`` is True iff ``queries[j] ⊑ queries[i]``, and
@@ -855,11 +820,7 @@ class ContainmentEngine:
             for sub in queries:
                 try:
                     row.append(
-                        self.contains(
-                            sup, sub, schema,
-                            witnesses=witnesses, method=method,
-                            constraints=constraints,
-                        )
+                        self.contains(sup, sub, schema, constraints=constraints)
                     )
                 except (IncomparableQueriesError, UnsupportedQueryError):
                     row.append(None)

@@ -15,10 +15,8 @@ every check with a wall-clock budget:
   is identical to the sequential engine's regardless of scheduling;
 * **per-check timeouts** — inside a worker each check runs under a
   ``SIGALRM`` deadline of *timeout_s* seconds; a check that exceeds it
-  is abandoned and reported per *on_timeout* policy (the
-  :data:`UNDECIDED` verdict by default, or a raised
-  :class:`repro.errors.ContainmentTimeout`), instead of hanging the
-  whole batch;
+  is abandoned and reported as the :data:`UNDECIDED` verdict instead of
+  hanging the whole batch;
 * **worker-side memo tables** — every worker process owns a full
   :class:`ContainmentEngine`, so prepared queries, obligation verdicts
   and compiled simulation targets are cached *within* a worker for the
@@ -175,26 +173,24 @@ def _flush_store(engine):
         flush()
 
 
-def _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s):
+def _decide_one(engine, kind, pair, schema, constraints, timeout_s):
     try:
         with _deadline(timeout_s):
             if kind == "contains":
                 sup, sub = pair
                 return (
                     "ok",
-                    engine.contains(
-                        sup, sub, schema, witnesses=witnesses, method=method
-                    ),
+                    engine.contains(sup, sub, schema, constraints=constraints),
                 )
             sub, sup = pair  # kind == "simulate": grouping queries
-            return ("ok", engine.simulated(sub, sup, witnesses=witnesses))
+            return ("ok", engine.simulated(sub, sup))
     except ContainmentTimeout as exc:
         return ("timeout", exc)
     except (IncomparableQueriesError, UnsupportedQueryError) as exc:
         return ("error", exc)
 
 
-def _run_chunk(chunk_index, kind, pairs, schema, witnesses, method, timeout_s):
+def _run_chunk(chunk_index, kind, pairs, schema, constraints, timeout_s):
     engine = _worker_engine
     if engine is None:  # pool built without initializer (executor=)
         _init_worker({})
@@ -202,7 +198,7 @@ def _run_chunk(chunk_index, kind, pairs, schema, witnesses, method, timeout_s):
     engine.reset_stats()
     engine.clear_trace()
     outcomes = [
-        _decide_one(engine, kind, pair, schema, witnesses, method, timeout_s)
+        _decide_one(engine, kind, pair, schema, constraints, timeout_s)
         for pair in pairs
     ]
     _flush_store(engine)
@@ -230,14 +226,10 @@ class ParallelContainmentEngine:
         (None = unbounded).
     :param chunk_size: pairs per dispatched chunk (None = automatic,
         ~4 chunks per worker).
-    :param on_timeout: ``"undecided"`` (default) reports timed-out
-        checks as :data:`UNDECIDED`; ``"raise"`` propagates
-        :class:`ContainmentTimeout` after the batch completes.
-    :param witnesses, method: as for :class:`ContainmentEngine`.
     :param engine: the in-process sequential engine to use for single
         checks, degraded batches, and stats aggregation (a fresh one is
-        created otherwise).  Worker engines are configured with the same
-        *witnesses*/*method* defaults and cache sizes.
+        created otherwise).  Worker engines decide by the certificate
+        method, with this engine's cache sizes.
     :param executor: inject a pre-built executor (tests); the engine
         then never shuts it down.
     :param store: a shared store for the in-process engine (see
@@ -250,26 +242,20 @@ class ParallelContainmentEngine:
         encodings and verdicts flow between workers, across batches,
         and across process restarts.  Workers flush their write-back
         buffers at the end of every chunk.
-    :param constraints: default tuple of
-        :class:`repro.constraints.InclusionDependency` declarations,
-        applied by the in-process engine *and* shipped to every pool
-        worker (they are picklable value objects), so sequential and
-        parallel runs decide under identical dependencies — and, since
-        chase artifacts are content-addressed, share them through a
-        *store_path* tier.
+    :param constraints: tuple of
+        :class:`repro.constraints.InclusionDependency` declarations
+        every check holds under, whether it runs in-process (also when
+        *engine* has other default constraints) or in a pool worker,
+        which receives them with each chunk (they are picklable value
+        objects); classification labels are keyed under them.  Since
+        chase artifacts are content-addressed, sequential and parallel
+        runs share them through a *store_path* tier.
     """
 
     def __init__(self, jobs=None, timeout_s=None, chunk_size=None,
-                 witnesses=None, method="certificate",
-                 on_timeout="undecided", engine=None, executor=None,
-                 prepare_cache_size=512, verdict_cache_size=8192,
-                 target_cache_size=1024, store=None, store_path=None,
-                 constraints=()):
-        if on_timeout not in ("undecided", "raise"):
-            raise UnsupportedQueryError(
-                "on_timeout must be 'undecided' or 'raise', got %r"
-                % (on_timeout,)
-            )
+                 engine=None, executor=None, prepare_cache_size=512,
+                 verdict_cache_size=8192, target_cache_size=1024,
+                 store=None, store_path=None, constraints=()):
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -281,21 +267,16 @@ class ParallelContainmentEngine:
         self._jobs = jobs
         self._timeout_s = timeout_s
         self._chunk_size = chunk_size
-        self._on_timeout = on_timeout
+        self._constraints = tuple(constraints)
         self._worker_options = {
-            "witnesses": witnesses,
-            "method": method,
             "prepare_cache_size": prepare_cache_size,
             "verdict_cache_size": verdict_cache_size,
             "target_cache_size": target_cache_size,
-            "constraints": tuple(constraints),
         }
         if store_path is not None:
             self._worker_options["store_path"] = store_path
         if engine is None:
             engine = ContainmentEngine(
-                witnesses=witnesses,
-                method=method,
                 prepare_cache_size=prepare_cache_size,
                 verdict_cache_size=verdict_cache_size,
                 target_cache_size=target_cache_size,
@@ -404,7 +385,7 @@ class ParallelContainmentEngine:
         stats.merge(worker_stats)
         stats.tally("worker_cache_hits", hits)
 
-    def _run_batch(self, kind, pairs, schema, witnesses, method, timeout_s):
+    def _run_batch(self, kind, pairs, schema, timeout_s):
         """Decide every pair; returns outcome tuples in input order."""
         stats = self.stats()
         stats.tally("batch_calls")
@@ -417,7 +398,7 @@ class ParallelContainmentEngine:
                 futures = [
                     pool.submit(
                         _run_chunk, index, kind, pairs[start:stop],
-                        schema, witnesses, method, timeout_s,
+                        schema, self._constraints, timeout_s,
                     )
                     for index, (start, stop) in enumerate(spans)
                 ]
@@ -435,68 +416,55 @@ class ParallelContainmentEngine:
                 self._mark_pool_broken()  # fall through: decide in-process
         outcomes = [
             _decide_one(
-                self._engine, kind, pair, schema, witnesses, method, timeout_s
+                self._engine, kind, pair, schema, self._constraints, timeout_s
             )
             for pair in pairs
         ]
         _flush_store(self._engine)
         return outcomes
 
-    def _resolve(self, outcomes, on_error, on_timeout):
-        """Apply the error/timeout policies, in deterministic pair order."""
+    def _resolve(self, outcomes, on_error):
+        """Verdicts in deterministic pair order: a timed-out check is
+        :data:`UNDECIDED`, an error raises or is captured per
+        *on_error*."""
         results = []
         for tag, value in outcomes:
             if tag == "ok":
                 results.append(value)
             elif tag == "timeout":
                 self.stats().tally("timeouts")
-                if on_timeout == "raise":
-                    raise value
                 results.append(UNDECIDED)
-            else:  # tag == "error"
-                if on_error == "raise":
-                    raise value
+            elif on_error == "raise":
+                raise value
+            else:  # a captured error
                 results.append(value)
         return results
 
-    def _defaults(self, witnesses, method, timeout_s, on_timeout):
-        if witnesses is None:
-            witnesses = self._worker_options["witnesses"]
-        if method is None:
-            method = self._worker_options["method"]
-        if timeout_s is _UNSET:
-            timeout_s = self._timeout_s
-        if on_timeout is None:
-            on_timeout = self._on_timeout
-        return witnesses, method, timeout_s, on_timeout
+    def _timeout(self, timeout_s):
+        return self._timeout_s if timeout_s is _UNSET else timeout_s
 
     # -- public decisions ----------------------------------------------
 
-    def contains(self, sup, sub, schema, witnesses=None, method=None,
-                 timeout_s=_UNSET, on_timeout=None):
+    def contains(self, sup, sub, schema, timeout_s=_UNSET):
         """``sub ⊑ sup``, decided in-process under the timeout budget.
 
         A single check never pays pool dispatch; it runs on the local
         engine (sharing its caches) with the same timeout semantics as
         the batch paths.
         """
-        witnesses, method, timeout_s, on_timeout = self._defaults(
-            witnesses, method, timeout_s, on_timeout
-        )
         outcome = _decide_one(
-            self._engine, "contains", (sup, sub), schema,
-            witnesses, method, timeout_s,
+            self._engine, "contains", (sup, sub), schema, self._constraints,
+            self._timeout(timeout_s),
         )
-        return self._resolve([outcome], "raise", on_timeout)[0]
+        return self._resolve([outcome], "raise")[0]
 
-    def contains_many(self, pairs, schema, witnesses=None, method=None,
-                      on_error="raise", timeout_s=_UNSET, on_timeout=None):
+    def contains_many(self, pairs, schema, on_error="raise",
+                      timeout_s=_UNSET):
         """Decide ``sub ⊑ sup`` for every ``(sup, sub)`` pair, sharded.
 
         Same contract as :meth:`ContainmentEngine.contains_many` — in
         particular the result list order matches the input order exactly
-        — plus the timeout policy: timed-out entries become
-        :data:`UNDECIDED` (or raise, per *on_timeout*).  Under
+        — plus timeouts: timed-out entries become :data:`UNDECIDED`.  Under
         ``on_error="raise"`` the earliest failing pair's exception is
         raised, after the batch has been fully decided.
         """
@@ -504,47 +472,31 @@ class ParallelContainmentEngine:
             raise UnsupportedQueryError(
                 "on_error must be 'raise' or 'capture', got %r" % (on_error,)
             )
-        witnesses, method, timeout_s, on_timeout = self._defaults(
-            witnesses, method, timeout_s, on_timeout
-        )
         outcomes = self._run_batch(
-            "contains", list(pairs), schema, witnesses, method, timeout_s
+            "contains", list(pairs), schema, self._timeout(timeout_s)
         )
-        return self._resolve(outcomes, on_error, on_timeout)
+        return self._resolve(outcomes, on_error)
 
-    def pairwise_matrix(self, queries, schema, witnesses=None, method=None,
-                        timeout_s=_UNSET, on_timeout=None):
+    def pairwise_matrix(self, queries, schema, timeout_s=_UNSET):
         """The N×N containment matrix of *queries*, sharded.
 
         ``matrix[i][j]`` is True iff ``queries[j] ⊑ queries[i]``, None
         when the pair is incomparable or outside the decidable fragment,
-        and :data:`UNDECIDED` when the check timed out (under the
-        default policy).
+        and :data:`UNDECIDED` when the check timed out.
         """
         queries = list(queries)
-        witnesses, method, timeout_s, on_timeout = self._defaults(
-            witnesses, method, timeout_s, on_timeout
-        )
         pairs = [(sup, sub) for sup in queries for sub in queries]
         outcomes = self._run_batch(
-            "contains", pairs, schema, witnesses, method, timeout_s
+            "contains", pairs, schema, self._timeout(timeout_s)
         )
-        flat = []
-        for tag, value in outcomes:
-            if tag == "ok":
-                flat.append(value)
-            elif tag == "timeout":
-                self.stats().tally("timeouts")
-                if on_timeout == "raise":
-                    raise value
-                flat.append(UNDECIDED)
-            else:
-                flat.append(None)
+        flat = [
+            None if isinstance(verdict, Exception) else verdict
+            for verdict in self._resolve(outcomes, "capture")
+        ]
         size = len(queries)
         return [flat[row * size:(row + 1) * size] for row in range(size)]
 
-    def classify_many(self, query, candidates, schema, witnesses=None,
-                      method=None, timeout_s=_UNSET, on_timeout=None):
+    def classify_many(self, query, candidates, schema, timeout_s=_UNSET):
         """Label every candidate view's usability for *query*, sharded.
 
         Same contract and label caching as
@@ -559,22 +511,16 @@ class ParallelContainmentEngine:
         """
         from repro.engine.core import resolve_classifications
 
-        witnesses, method, timeout_s, on_timeout = self._defaults(
-            witnesses, method, timeout_s, on_timeout
-        )
         self.stats().tally("classify_calls")
         return resolve_classifications(
-            self._engine.pipeline(), query, list(candidates), schema,
-            witnesses, method,
+            self._engine, query, list(candidates), schema,
             lambda pairs: self.contains_many(
-                pairs, schema, witnesses=witnesses, method=method,
-                on_error="capture", timeout_s=timeout_s,
-                on_timeout=on_timeout,
+                pairs, schema, on_error="capture", timeout_s=timeout_s,
             ),
+            constraints=self._constraints,
         )
 
-    def simulated_many(self, pairs, witnesses=None, on_error="raise",
-                       timeout_s=_UNSET, on_timeout=None):
+    def simulated_many(self, pairs, on_error="raise", timeout_s=_UNSET):
         """Batch grouping-query simulation: one verdict per ``(sub,
         sup)`` :class:`GroupingQuery` pair (Theorem 5.1's relation,
         ``sub ≼ sup``), sharded with the same chunking, ordering, and
@@ -588,10 +534,7 @@ is_simulated` and the brute-force canonical-database check.
             raise UnsupportedQueryError(
                 "on_error must be 'raise' or 'capture', got %r" % (on_error,)
             )
-        witnesses, method, timeout_s, on_timeout = self._defaults(
-            witnesses, None, timeout_s, on_timeout
-        )
         outcomes = self._run_batch(
-            "simulate", list(pairs), None, witnesses, method, timeout_s
+            "simulate", list(pairs), None, self._timeout(timeout_s)
         )
-        return self._resolve(outcomes, on_error, on_timeout)
+        return self._resolve(outcomes, on_error)

@@ -10,6 +10,7 @@ assumption checkable.
 """
 
 from repro.errors import SchemaError
+from repro.pickling import PicklableSlots
 from repro.objects.values import Record, CSet
 from repro.objects.types import (
     AtomType,
@@ -21,7 +22,7 @@ from repro.objects.types import (
 __all__ = ["Relation", "Database"]
 
 
-class Relation:
+class Relation(PicklableSlots):
     """A named set of records with a record schema.
 
     >>> r = Relation.from_rows("r", [{"a": 1, "b": 2}])
@@ -122,7 +123,7 @@ def _infer_row_type(name, rows):
     return row_type
 
 
-class Database:
+class Database(PicklableSlots):
     """A mapping from relation names to relations.
 
     >>> db = Database.from_dict({"r": [{"a": 1}]})

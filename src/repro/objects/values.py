@@ -14,6 +14,7 @@ work without ceremony.
 """
 
 from repro.errors import ValueConstructionError
+from repro.pickling import PicklableSlots
 
 __all__ = ["Record", "CSet", "is_atom", "is_complex_object", "sort_key"]
 
@@ -38,7 +39,7 @@ def is_complex_object(value):
     return False
 
 
-class Record:
+class Record(PicklableSlots):
     """An immutable record ``[A1: x1, ..., Ak: xk]``.
 
     Components are accessed with ``record["A"]`` or :meth:`get`.  Records
@@ -68,10 +69,13 @@ class Record:
                     "record component %s=%r is not a complex object" % (name, value)
                 )
         object.__setattr__(self, "_items", tuple(sorted(fields.items())))
-        object.__setattr__(self, "_hash", hash(self._items))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Record is immutable")
+
+    def _hash_key(self):
+        return self._items
 
     def __getitem__(self, name):
         for key, value in self._items:
@@ -130,7 +134,7 @@ class Record:
         return "[%s]" % inner
 
 
-class CSet:
+class CSet(PicklableSlots):
     """An immutable finite set of complex objects.
 
     Iteration follows :func:`sort_key` order under any hash seed; a set
@@ -154,10 +158,13 @@ class CSet:
                 )
             checked.append(value)
         object.__setattr__(self, "_elements", frozenset(checked))
-        object.__setattr__(self, "_hash", hash(self._elements))
+        object.__setattr__(self, "_hash", hash(self._hash_key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("CSet is immutable")
+
+    def _hash_key(self):
+        return self._elements
 
     def __iter__(self):
         # Deterministic iteration order (stable output and tests): the

@@ -11,13 +11,16 @@ processes and verdicts back.
 
 The mixin contributes no slots of its own, so subclasses keep their
 exact memory layout; it collects slot names across the whole MRO, so it
-works for any depth of (single-inheritance) subclassing.  Two memo
+works for any depth of (single-inheritance) subclassing.  Three memo
 slots are never pickled:
 
 * ``_digest``, the content-digest memo of
   :mod:`repro.pipeline.fingerprint`: a digest restored in another
   process or from disk would outlive a change to the encoder that
   computed it, so the copy recomputes its own on first use.
+* ``_order``, a set's sorted-iteration memo
+  (:class:`repro.objects.values.CSet`): cheap to recompute, and left
+  unset the copy sorts itself on its first iteration.
 * ``_hash``, the ``hash()`` memo: ``str`` hashes are salted per process
   (``PYTHONHASHSEED``), so a hash computed by the writer is wrong in
   every other reader — a loaded object would compare equal to a fresh
@@ -30,7 +33,7 @@ slots are never pickled:
 __all__ = ["PicklableSlots"]
 
 #: Memo slots that never cross a pickle boundary.
-_MEMO_SLOTS = frozenset({"_hash", "_digest"})
+_MEMO_SLOTS = frozenset({"_hash", "_digest", "_order"})
 
 
 class PicklableSlots:

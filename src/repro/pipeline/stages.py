@@ -21,7 +21,7 @@ exactly this, so the module-level and engine prepare paths can never
 drift again.
 """
 
-from repro.errors import TypeCheckError, UnsupportedQueryError
+from repro.errors import TypeCheckError
 from repro.pipeline.fingerprint import artifact_key
 from repro.pipeline.store import MISSING, ArtifactStore, KindView
 from repro.pipeline.trace import Tracer
@@ -95,23 +95,23 @@ STAGES = (
           "truncation_patterns", cache_kind="nonempty",
           cache_key="sha256(grouping_query, path) per non-empty test",
           spans=("obligations",), paper="Sec. 5 (truncation patterns)"),
-    Stage("compile_target", ("grouping_query", "witnesses"),
+    Stage("compile_target", ("grouping_query",),
           "simulation_target", cache_kind="targets",
-          cache_key="sha256(grouping_query, witnesses)",
+          cache_key="sha256(grouping_query, witness copies)",
           spans=("simulation",), paper="Thm. 4.1 (canonical database)"),
-    Stage("decide", ("obligation", "witnesses", "method"), "verdict",
+    Stage("decide", ("obligation",), "verdict",
           cache_kind="obligation_verdicts",
-          cache_key="sha256(sub_t, sup_t, witnesses, method, constraints)",
+          cache_key="sha256(sub_t, sup_t, method, constraints)",
           spans=("decide", "simulation"), paper="Thm. 4.1 (simulation)"),
     Stage("reduce_union", ("query_family", "query_family"), "verdict",
           cache_kind="branch_verdict",
-          cache_key="sha256(sub_branch, sup_branch, schema, witnesses, "
-                    "method, constraints)",
+          cache_key="sha256(sub_branch, sup_branch, schema, method, "
+                    "constraints)",
           spans=("reduce_union",),
           paper="Sagiv–Yannakakis [36] (all/any reduction)"),
-    Stage("analyze_cost", ("grouping_query", "grouping_query", "witnesses"),
+    Stage("analyze_cost", ("grouping_query", "grouping_query"),
           "cost_certificate", cache_kind="cost_certificate",
-          cache_key="sha256(sub_query, sup_query, witnesses)",
+          cache_key="sha256(sub_query, sup_query)",
           spans=("analyze_cost",),
           paper="Thm. 5.1 (search-space bound)"),
 )
@@ -297,34 +297,26 @@ class Pipeline:
             span.annotate(patterns=len(patterns), skipped_implied=skipped)
         return patterns
 
-    def decide_obligation(self, sub_query, sup_query, pattern, witnesses,
-                          method, decide, constraints=()):
+    def decide_obligation(self, sub_query, sup_query, pattern, decide,
+                          decision):
         """Stage ``decide``: one truncation obligation's verdict.
 
         Cached under kind ``obligation_verdicts`` keyed on the truncated
-        pair plus the decision knobs; *decide* runs the simulation
-        search on a miss.  A non-empty *constraints* tuple (inclusion
-        dependencies the verdict was decided under) joins the key —
-        unconstrained keys are unchanged, so persisted verdicts from
-        constraint-free runs stay valid.
+        pair plus *decision*, the tuple naming what *decide* computes:
+        the engine's method, then the inclusion dependencies the verdict
+        holds under when there are any.  *decide* runs the simulation
+        search on a miss.
         """
         sub_t = sub_query.truncate(pattern)
         sup_t = sup_query.truncate(pattern)
         with self.tracer.span(
-            "decide", paths=len(pattern), method=method
+            "decide", paths=len(pattern), method=decision[0]
         ) as span:
             key = None
             if self.store is not None:
-                if constraints:
-                    key = artifact_key(
-                        "obligation_verdicts", sub_t, sup_t, witnesses,
-                        method, tuple(constraints),
-                    )
-                else:
-                    key = artifact_key(
-                        "obligation_verdicts", sub_t, sup_t, witnesses,
-                        method,
-                    )
+                key = artifact_key(
+                    "obligation_verdicts", sub_t, sup_t, *decision
+                )
                 cached = self._lookup("obligation_verdicts", key)
                 if cached is not MISSING:
                     self._tally("obligation_cache_hits")
@@ -341,11 +333,12 @@ class Pipeline:
 
     # -- static analysis: cost certificates ----------------------------
 
-    def analyze_cost(self, sub_query, sup_query, witnesses=None):
+    def analyze_cost(self, sub_query, sup_query):
         """Stage ``analyze_cost``: the pair's :class:`CostCertificate`.
 
         Cached under kind ``cost_certificate`` keyed on the aligned
-        grouping pair and the witness knob.  The certificate's own
+        grouping pair; the certificate bounds the default witness
+        schedule (one copy, then the completeness bound).  Its own
         non-emptiness tests go through :meth:`provably_nonempty`, so the
         enumerated obligation patterns are exactly the ones
         :meth:`enumerate_obligations` would produce for the same pair.
@@ -355,9 +348,7 @@ class Pipeline:
         with self.tracer.span("analyze_cost") as span:
             key = None
             if self.store is not None:
-                key = artifact_key(
-                    "cost_certificate", sub_query, sup_query, witnesses
-                )
+                key = artifact_key("cost_certificate", sub_query, sup_query)
                 cached = self._lookup("cost_certificate", key)
                 if cached is not MISSING:
                     self._tally("cost_certificate_hits")
@@ -366,8 +357,7 @@ class Pipeline:
                 self._tally("cost_certificate_misses")
                 span.annotate(cache="miss")
             certificate = pair_certificate(
-                sub_query, sup_query, witnesses=witnesses,
-                is_nonempty=self.provably_nonempty,
+                sub_query, sup_query, is_nonempty=self.provably_nonempty
             )
             span.annotate(
                 patterns=certificate.patterns,
@@ -429,9 +419,3 @@ class Pipeline:
 
     def __repr__(self):
         return "Pipeline(store=%r)" % (self.store,)
-
-
-def check_method(method):
-    """Validate a decision-method name (shared by engine layers)."""
-    if method not in ("certificate", "canonical"):
-        raise UnsupportedQueryError("unknown method %r" % (method,))

@@ -116,7 +116,6 @@ class SemanticCache:
         evicts the least recently *used* unpinned view (0 disables
         admission entirely — the cache then serves only preloaded
         views).
-    :param witnesses: witness knob for the containment checks.
     :param jobs, timeout_s: when given, classification batches shard
         across a :class:`repro.engine.ParallelContainmentEngine`
         (sharing the cache's engine) with per-check deadlines; an
@@ -125,14 +124,13 @@ class SemanticCache:
     """
 
     def __init__(self, schema, database, engine=None, store=None,
-                 max_views=32, witnesses=None, jobs=None, timeout_s=None):
+                 max_views=32, jobs=None, timeout_s=None):
         from repro.coql.views import ViewCatalog
 
         self._catalog = ViewCatalog(schema, engine=engine, store=store)
         self._engine = self._catalog.engine()
         self._database = database
         self._max_views = max_views
-        self._witnesses = witnesses
         self._jobs = jobs
         self._timeout_s = timeout_s
         self._views = OrderedDict()
@@ -261,8 +259,7 @@ class SemanticCache:
     def classify(self, query):
         """``{view name: label}`` for *query* over the current catalog."""
         return self._catalog.classify(
-            self._parse(query), witnesses=self._witnesses,
-            jobs=self._jobs, timeout_s=self._timeout_s,
+            self._parse(query), jobs=self._jobs, timeout_s=self._timeout_s,
         )
 
     def lookup(self, query):
@@ -346,7 +343,7 @@ class SemanticCache:
 
     # -- maintenance ----------------------------------------------------
 
-    def minimize(self, witnesses=None):
+    def minimize(self):
         """Prune mutually redundant views via
         :class:`repro.semcache.minimize.CatalogMinimizer`; evicted
         views' materializations are dropped (their kept equivalent
@@ -357,9 +354,7 @@ class SemanticCache:
         from repro.semcache.minimize import CatalogMinimizer
 
         report = CatalogMinimizer(self._catalog).plan(
-            witnesses=witnesses if witnesses is not None
-            else self._witnesses,
-            jobs=self._jobs, timeout_s=self._timeout_s,
+            jobs=self._jobs, timeout_s=self._timeout_s
         )
         for name in report.removed:
             self.evict(name)

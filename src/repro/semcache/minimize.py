@@ -48,7 +48,7 @@ class CatalogMinimizer:
     def __init__(self, catalog):
         self._catalog = catalog
 
-    def plan(self, witnesses=None, jobs=None, timeout_s=None):
+    def plan(self, jobs=None, timeout_s=None):
         """Compute a :class:`MinimizationReport` without mutating the
         catalog.
 
@@ -56,7 +56,7 @@ class CatalogMinimizer:
         is deterministic for a given catalog.
         """
         names, matrix = self._catalog.containment_matrix(
-            witnesses=witnesses, jobs=jobs, timeout_s=timeout_s
+            jobs=jobs, timeout_s=timeout_s
         )
         kept = []
         kept_indices = []
@@ -81,11 +81,10 @@ class CatalogMinimizer:
                 removed[name] = duplicate_of
         return MinimizationReport(kept, removed, undecided)
 
-    def minimize(self, witnesses=None, jobs=None, timeout_s=None):
+    def minimize(self, jobs=None, timeout_s=None):
         """Apply :meth:`plan`: remove every redundant view from the
         catalog and return the report."""
-        report = self.plan(witnesses=witnesses, jobs=jobs,
-                           timeout_s=timeout_s)
+        report = self.plan(jobs=jobs, timeout_s=timeout_s)
         for name in report.removed:
             self._catalog.remove(name)
         return report

@@ -9,12 +9,12 @@ requests over overlapping queries hit each other's artifacts.
 :class:`MicroBatcher` coalesces requests that arrive within one batching
 *window* (a few milliseconds) into one ``contains_many`` call per
 compatible *group* — requests can only share a batch when their schema
-and decision knobs (witnesses, method, timeout) agree, so the group key
-is exactly that tuple.  The first request of a group opens the window;
-the batch is dispatched when the window closes or when the group
-reaches *max_batch*, whichever comes first.  A lone request therefore
-pays at most the window in added latency, and a burst pays one engine
-dispatch for the whole group.
+and per-check timeout agree, so the group key is exactly that pair.
+The first request of a group opens the window; the batch is
+dispatched when the window closes or when the group reaches
+*max_batch*, whichever comes first.  A lone request therefore pays at
+most the window in added latency, and a burst pays one engine dispatch
+for the whole group.
 
 The batcher is event-loop-confined (no locks): ``submit`` must be
 awaited on the loop that created the batcher, and the sync *run_batch*

@@ -105,8 +105,8 @@ class ServiceClient:
     def contain(self, sup, sub, schema=None, **knobs):
         """``sub ⊑ sup`` → ``True`` / ``False`` / ``"undecided"``.
 
-        *knobs* pass through to the request body: ``timeout_s``,
-        ``witnesses``, ``method``.
+        *knobs* pass through to the request body; the service reads
+        ``timeout_s`` and ignores fields it does not know.
         """
         body = {"sup": sup, "sub": sub, **knobs}
         if schema is not None:

@@ -17,17 +17,16 @@ Endpoints (bodies and responses are JSON; schemas are either a
 =======  =============  ====================================================
 method   path           body → response
 =======  =============  ====================================================
-POST     /v1/contain    ``{sup, sub, schema, timeout_s?, witnesses?,
-                        method?}`` →
+POST     /v1/contain    ``{sup, sub, schema, timeout_s?}`` →
                         ``{"verdict": true|false|"undecided"}``
-POST     /v1/equiv      ``{q1, q2, schema, weak?, witnesses?, method?}``
+POST     /v1/equiv      ``{q1, q2, schema, weak?, timeout_s?}``
                         → ``{"verdict": ...}``
-POST     /v1/matrix     ``{queries, schema, timeout_s?, ...}`` →
+POST     /v1/matrix     ``{queries, schema, timeout_s?}`` →
                         ``{"matrix": [[true|false|null|"undecided", ...]]}``
 POST     /v1/lint       ``{query | queries, schema, select?, ignore?}`` →
                         the CLI's JSON lint report shape
 POST     /v1/classify   ``{query, views: {name: text}, schema,
-                        timeout_s?, witnesses?, method?}`` →
+                        timeout_s?}`` →
                         ``{"classifications": {name: "equivalent" |
                         "subsuming" | "contained" | "irrelevant"}}``
 POST     /v1/flush      ``{}`` → ``{"flushed": n}`` (persist write-backs)
@@ -47,8 +46,8 @@ enforce it by ``SIGALRM``; the service additionally bounds the
 window plus a grace), so a client always hears ``"undecided"`` within a
 bounded wall time even when in-process enforcement is unavailable.
 Batching: requests may only share an engine batch when their schema and
-decision knobs agree, so the batch group key is the content fingerprint
-of exactly that tuple.  Body fields the endpoint does not know are
+``timeout_s`` agree, so the batch group key is the content fingerprint
+of exactly that pair.  Body fields the endpoint does not know are
 ignored.
 """
 
@@ -138,13 +137,12 @@ class ContainmentService:
     def __init__(self, host="127.0.0.1", port=DEFAULT_PORT, store_path=None,
                  jobs=1, timeout_s=None, batch_window_s=0.002, max_batch=64,
                  deadline_grace_s=1.0, default_schema=None, preload=False,
-                 witnesses=None, method="certificate", constraints=()):
+                 constraints=()):
         self.host = host
         self.port = port
         self._store_path = store_path
         self._engine = ParallelContainmentEngine(
-            jobs=jobs, timeout_s=timeout_s, witnesses=witnesses,
-            method=method, store_path=store_path,
+            jobs=jobs, timeout_s=timeout_s, store_path=store_path,
             constraints=tuple(constraints),
         )
         self._default_timeout_s = timeout_s
@@ -198,10 +196,9 @@ class ContainmentService:
         batch of one, so under ``jobs >= 2`` it still runs in the worker
         pool under its per-check deadline.
         """
-        schema_items, witnesses, method, timeout_s = group
+        schema_items, timeout_s = group
         schema = dict(schema_items)
-        knobs = dict(witnesses=witnesses, method=method, timeout_s=timeout_s,
-                     on_error="capture", on_timeout="undecided")
+        knobs = dict(on_error="capture", timeout_s=timeout_s)
         try:
             verdicts = self._engine.contains_many(pairs, schema, **knobs)
         except ReproError:
@@ -238,17 +235,11 @@ class ContainmentService:
             raise _HttpError(400, "missing or invalid %r" % (name,))
         return value
 
-    def _knobs_of(self, body):
-        witnesses = body.get("witnesses")
-        if witnesses is not None and not isinstance(witnesses, int):
-            raise _HttpError(400, "'witnesses' must be an integer")
-        method = body.get("method", "certificate")
-        if method not in ("certificate", "canonical"):
-            raise _HttpError(400, "unknown method %r" % (method,))
+    def _timeout_of(self, body):
         timeout_s = body.get("timeout_s", self._default_timeout_s)
         if timeout_s is not None and not isinstance(timeout_s, (int, float)):
             raise _HttpError(400, "'timeout_s' must be a number")
-        return witnesses, method, timeout_s
+        return timeout_s
 
     async def _with_deadline(self, awaitable, timeout_s):
         """Bound the response wall time; ``UNDECIDED`` on overrun.
@@ -272,9 +263,8 @@ class ContainmentService:
         schema = self._schema_of(body)
         sup = self._query_field(body, "sup")
         sub = self._query_field(body, "sub")
-        witnesses, method, timeout_s = self._knobs_of(body)
-        schema_items = tuple(sorted(schema.items()))
-        group = (schema_items, witnesses, method, timeout_s)
+        timeout_s = self._timeout_of(body)
+        group = (tuple(sorted(schema.items())), timeout_s)
         key = artifact_key("service_batch", *group)
         verdict, missed = await self._with_deadline(
             self._batcher.submit(key, group, (sup, sub)), timeout_s
@@ -291,7 +281,7 @@ class ContainmentService:
         schema = self._schema_of(body)
         q1 = self._query_field(body, "q1")
         q2 = self._query_field(body, "q2")
-        witnesses, method, timeout_s = self._knobs_of(body)
+        timeout_s = self._timeout_of(body)
         weak = bool(body.get("weak", False))
         engine = self._engine.engine()
         decide = (
@@ -300,8 +290,7 @@ class ContainmentService:
         loop = asyncio.get_running_loop()
 
         def run():
-            verdict = decide(q1, q2, schema, witnesses=witnesses,
-                             method=method)
+            verdict = decide(q1, q2, schema)
             self._flush()
             return verdict
 
@@ -322,13 +311,12 @@ class ContainmentService:
             or not all(isinstance(q, str) for q in queries)
         ):
             raise _HttpError(400, "'queries' must be a list of strings")
-        witnesses, method, timeout_s = self._knobs_of(body)
+        timeout_s = self._timeout_of(body)
         loop = asyncio.get_running_loop()
 
         def run():
             matrix = self._engine.pairwise_matrix(
-                queries, schema, witnesses=witnesses, method=method,
-                timeout_s=timeout_s,
+                queries, schema, timeout_s=timeout_s
             )
             self._flush()
             return matrix
@@ -359,15 +347,14 @@ class ContainmentService:
             raise _HttpError(
                 400, "'views' must be a non-empty object of name -> query"
             )
-        witnesses, method, timeout_s = self._knobs_of(body)
+        timeout_s = self._timeout_of(body)
         names = sorted(views)
         loop = asyncio.get_running_loop()
 
         def run():
             labels = self._engine.classify_many(
                 query, [views[name] for name in names], schema,
-                witnesses=witnesses, method=method, timeout_s=timeout_s,
-                on_timeout="undecided",
+                timeout_s=timeout_s,
             )
             self._flush()
             return labels

@@ -59,13 +59,13 @@ class Scenario:
             seed = self.default_seed
         return self._generator(scale, seed)
 
-    def containment_matrix(self, engine=None, witnesses=None, jobs=None,
-                           timeout_s=None):
+    def containment_matrix(self, engine=None, jobs=None, timeout_s=None):
         """Pairwise containment of the scenario's named queries.
 
         :param engine: a :class:`repro.engine.ContainmentEngine` (or
             :class:`repro.engine.ParallelContainmentEngine`) to reuse
-            (a fresh one is created otherwise).
+            (a fresh one is created otherwise); its default constraints
+            hold on the sharded path too.
         :param jobs: when given (> 1), shard across a worker pool via
             :class:`repro.engine.ParallelContainmentEngine`; *timeout_s*
             bounds each check and timed-out entries appear as
@@ -80,19 +80,15 @@ class Scenario:
             from repro.engine import ParallelContainmentEngine
 
             with ParallelContainmentEngine(
-                jobs=jobs, timeout_s=timeout_s, engine=engine
+                jobs=jobs, timeout_s=timeout_s, engine=engine,
+                constraints=getattr(engine, "_constraints", ()),
             ) as parallel:
-                return names, parallel.pairwise_matrix(
-                    queries, self.schema, witnesses=witnesses
-                )
+                return names, parallel.pairwise_matrix(queries, self.schema)
         if engine is None:
             from repro.engine import ContainmentEngine
 
             engine = ContainmentEngine()
-        matrix = engine.pairwise_matrix(
-            queries, self.schema, witnesses=witnesses
-        )
-        return names, matrix
+        return names, engine.pairwise_matrix(queries, self.schema)
 
     def __repr__(self):
         return "Scenario(%s, %d queries)" % (self.name, len(self.queries))

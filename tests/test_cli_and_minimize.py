@@ -261,6 +261,19 @@ class TestCliExitCodes:
         assert code == 2
         assert "no schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["contain", "--method", "canonical"],
+        ["matrix", "--method", "canonical", "--jobs", "1"],
+        ["equiv", "--method", "canonical"],
+        ["analyze", "--witnesses", "2"],
+    ], ids=["contain", "matrix", "equiv", "analyze"])
+    def test_removed_decision_flags_are_usage_errors(self, argv, capsys):
+        query = "select [v: x.a] from x in r"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--schema", "r:a,b", query, query])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCliLint:
     def test_json_format_is_schema_stable(self, capsys):
@@ -392,8 +405,8 @@ class TestCliExitCodeRegression:
         from repro.errors import ContainmentTimeout
         import repro.engine.parallel as parallel
 
-        def _always_times_out(engine, kind, pair, schema, witnesses,
-                              method, timeout_s):
+        def _always_times_out(engine, kind, pair, schema, constraints,
+                              timeout_s):
             return ("timeout", ContainmentTimeout("simulated timeout"))
 
         monkeypatch.setattr(parallel, "_decide_one", _always_times_out)

@@ -1,6 +1,6 @@
 """The containment engine: memoization, instrumentation, batch APIs,
-and the API-consistency bugfixes that rode along with it (method
-threading through equivalence, truncate validation, shared
+and the API-consistency bugfixes that rode along with it (the engine's
+method reaching equivalence, truncate validation, shared
 provably-non-empty verdicts)."""
 
 import pytest
@@ -328,43 +328,44 @@ class TestStatsAggregationExhaustiveness:
 
 
 class TestMethodThreadingBugfix:
-    """`weakly_equivalent`/`equivalent` used to ignore method=."""
+    """`weakly_equivalent`/`equivalent` used to ignore the method; the
+    method is now the engine's, fixed at construction."""
 
     def test_weakly_equivalent_canonical_end_to_end(self):
-        engine = ContainmentEngine()
-        assert engine.weakly_equivalent(
-            UNLINKED, UNLINKED, SCHEMA, method="canonical"
-        )
+        engine = ContainmentEngine(method="canonical")
+        assert engine.weakly_equivalent(UNLINKED, UNLINKED, SCHEMA)
         # The canonical path never runs the NP certificate search.
         assert engine.stats().counter("certificate_searches") == 0
 
     def test_equivalent_canonical_end_to_end(self):
-        engine = ContainmentEngine()
-        assert engine.equivalent(FLAT, FLAT, SCHEMA, method="canonical")
-        assert not engine.equivalent(
-            FLAT, FLAT_RESTRICTED, SCHEMA, method="canonical"
-        )
+        engine = ContainmentEngine(method="canonical")
+        assert engine.equivalent(FLAT, FLAT, SCHEMA)
+        assert not engine.equivalent(FLAT, FLAT_RESTRICTED, SCHEMA)
         assert engine.stats().counter("certificate_searches") == 0
 
     def test_module_level_regression(self):
-        assert weakly_equivalent(LINKED, LINKED, SCHEMA, method="canonical")
-        assert equivalent(FLAT, FLAT, SCHEMA, method="canonical")
+        # The module-level functions decide on the default engine, by
+        # the certificate method, and take no method at all.
+        assert weakly_equivalent(LINKED, LINKED, SCHEMA)
+        assert equivalent(FLAT, FLAT, SCHEMA)
+        with pytest.raises(TypeError):
+            weakly_equivalent(LINKED, LINKED, SCHEMA, method="canonical")
 
     def test_unknown_method_now_rejected_everywhere(self):
-        with pytest.raises(UnsupportedQueryError):
-            contains(FLAT, FLAT, SCHEMA, method="nope")
-        with pytest.raises(UnsupportedQueryError):
-            weakly_equivalent(FLAT, FLAT, SCHEMA, method="nope")
-        with pytest.raises(UnsupportedQueryError):
-            equivalent(FLAT, FLAT, SCHEMA, method="nope")
+        with pytest.raises(UnsupportedQueryError, match="unknown method"):
+            ContainmentEngine(method="nope")
+        for decide in (contains, weakly_equivalent, equivalent):
+            with pytest.raises(TypeError):
+                decide(FLAT, FLAT, SCHEMA, method="nope")
 
     def test_methods_agree_on_mixed_verdicts(self):
-        engine = ContainmentEngine()
+        certificate = ContainmentEngine()
+        canonical = ContainmentEngine(method="canonical")
         for sup, sub in [(WIDER, UNLINKED), (UNLINKED, WIDER),
                          (FLAT, FLAT_RESTRICTED), (FLAT_RESTRICTED, FLAT)]:
-            assert engine.contains(
-                sup, sub, SCHEMA, method="certificate"
-            ) == engine.contains(sup, sub, SCHEMA, method="canonical")
+            assert certificate.contains(
+                sup, sub, SCHEMA
+            ) == canonical.contains(sup, sub, SCHEMA)
 
 
 class TestTruncateValidationBugfix:
@@ -525,18 +526,15 @@ class TestDepth3CrossValidation:
 
     def test_certificate_vs_canonical(self):
         engine = ContainmentEngine()
+        oracle = ContainmentEngine(method="canonical")
         compared = 0
         for seed in range(6):
             q1 = random_coql_deep(seed=seed, depth=3)
             q2 = random_coql_deep(seed=seed + 500, depth=3)
             for sup, sub in [(q1, q1), (q1, q2)]:
                 try:
-                    certificate = engine.contains(
-                        sup, sub, SCHEMA, method="certificate"
-                    )
-                    canonical = engine.contains(
-                        sup, sub, SCHEMA, method="canonical"
-                    )
+                    certificate = engine.contains(sup, sub, SCHEMA)
+                    canonical = oracle.contains(sup, sub, SCHEMA)
                 except (IncomparableQueriesError, UnsupportedQueryError):
                     continue
                 assert certificate == canonical, (sup, sub)

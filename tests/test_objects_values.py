@@ -1,5 +1,7 @@
 """Unit tests for complex-object values (Record, CSet, atoms)."""
 
+import copy
+import pickle
 import sys
 import threading
 
@@ -199,6 +201,34 @@ class TestOrderMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8 * len(sets)
         assert set(seen) == {tuple(expected)}
+
+
+class TestCopies:
+    """Values cross process boundaries: pickle and deepcopy rebuild
+    them through ``PicklableSlots``, and memos are recomputed."""
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        from repro.objects import Database
+
+        inner = CSet([Record(b="x"), Record(b="y")])
+        value = CSet([Record(a=1, kids=inner), "z", 2.5])
+        assert list(value)  # fills the order memo before copying
+        database = Database.from_dict({"r": [{"a": 1}, {"a": 2}]})
+        for original in (value, Record({"a": 1}), CSet([1]), database):
+            for clone in (
+                pickle.loads(pickle.dumps(original)),
+                copy.deepcopy(original),
+            ):
+                assert clone == original
+                if not isinstance(original, Database):
+                    assert hash(clone) == hash(original)
+                    assert clone in {original}
+        clone = pickle.loads(pickle.dumps(value))
+        assert "_order" not in clone.__getstate__()
+        assert list(clone) == list(value)
+        assert fingerprint(clone) == fingerprint(value)
+        with pytest.raises(AttributeError):
+            clone.x = 1
 
 
 class TestWellFormedness:

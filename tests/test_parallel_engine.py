@@ -99,13 +99,32 @@ class TestCoqlDifferentialOracle:
             (random_coql(seed=seed), random_coql(seed=seed + 3000))
             for seed in range(30)
         ]
-        got = parallel.contains_many(
-            pairs, SCHEMA, on_error="capture", method="certificate"
-        )
-        canonical = ContainmentEngine().contains_many(
-            pairs, SCHEMA, on_error="capture", method="canonical"
+        got = parallel.contains_many(pairs, SCHEMA, on_error="capture")
+        canonical = ContainmentEngine(method="canonical").contains_many(
+            pairs, SCHEMA, on_error="capture"
         )
         same_verdicts(canonical, got)
+
+    def test_scenario_matrix_keeps_its_engine_constraints(self):
+        from repro.constraints import parse_constraint
+        from repro.workloads.scenarios import Scenario
+
+        scenario = Scenario(
+            "staff", {"employee": ("name",), "manager": ("name",)},
+            {"managers": "select [n: m.name] from m in manager",
+             "employees": "select [n: e.name] from e in employee"},
+            generator=None,
+        )
+        engine = ContainmentEngine(
+            constraints=(parse_constraint("manager[name] -> employee[name]"),)
+        )
+        sequential = scenario.containment_matrix(engine=engine)
+        # managers ⊑ employees holds only under the dependency.
+        assert sequential[1] == [[True, True], [False, True]]
+        for jobs in (1, 2):
+            assert scenario.containment_matrix(
+                engine=engine, jobs=jobs
+            ) == sequential
 
 
 class TestSimulationDifferentialOracle:

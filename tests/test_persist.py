@@ -20,6 +20,7 @@ from repro.cq.terms import Atom, Const, Var
 from repro.engine import ContainmentEngine
 from repro.grouping.query import GroupingNode
 from repro.objects.types import ATOM, RecordType, SetType
+from repro.objects.values import CSet, Record
 from repro.pipeline import ArtifactStore, MISSING, PersistentStore, TieredStore
 from repro.pipeline.persist import FORMAT_VERSION
 
@@ -433,6 +434,7 @@ def _hashed_instances():
     x = Var("X")
     atom = Atom("r", (x, Const("c")))
     record = RecordType({"a": ATOM, "kids": SetType(RecordType({"b": ATOM}))})
+    value = Record({"a": "ann", "kids": CSet([Record({"b": "bob"})])})
     return (
         x,
         atom,
@@ -440,6 +442,8 @@ def _hashed_instances():
         GroupingNode("root", (atom,), {"a": x}, (x,)),
         record,
         SetType(record),
+        value,
+        CSet([value, "carl"]),
     )
 
 

@@ -54,7 +54,9 @@ DEPTH3_SUP = (
 
 #: Store keys computed by the encoder before the per-object digest memo
 #: existed.  Persisted SQLite rows are found under these exact bytes, so
-#: any change here orphans every durable artifact.
+#: any change here orphans every durable artifact.  The
+#: ``obligation_verdicts`` entry was re-recorded at ``FORMAT_VERSION`` 3,
+#: when verdict keys lost their witness-count component.
 GOLDEN_KEYS = {
     "ast": "f68fa57c9fa26596a84fe1c22712e9aa3604f4373634837080cc5a4c9a532dd3",
     "prepare":
@@ -68,7 +70,7 @@ GOLDEN_KEYS = {
     "nonempty":
         "c27c250d4868ca0a9cb50d7bad3fc7983789095dc1b4b247eb8ec5db236a9ed1",
     "obligation_verdicts":
-        "46981e5598102d87ca8f41ba5e3fb4a9c48cac3dbe7c5c968b0fbd153940a8aa",
+        "c1646b9bb19122d17251f34dcf574f60dd38dc91e1030a486e22c9fdadba7c02",
     "negative_zero":
         "eca064bd913f4c9c66a99f201d9f10bcbfeeeee3682e977c120427e6b23fc291",
     "nan": "3c9cc96fa5bccbc9ac2c972e856d95f253ec4054a42f1cf9743dffbb5d0c8b32",
@@ -101,7 +103,7 @@ def _golden_corpus():
         "nonempty": lambda: artifact_key("nonempty", sub, ("mids",)),
         "obligation_verdicts": lambda: artifact_key(
             "obligation_verdicts", sub.truncate(partial),
-            sup.truncate(partial), None, "certificate",
+            sup.truncate(partial), "certificate",
         ),
         "negative_zero": lambda: artifact_key("k", -0.0),
         "nan": lambda: artifact_key("k", float("nan")),

@@ -11,16 +11,22 @@ Regressions guarded here:
   only *demote* a label — never ``subsuming`` or ``equivalent`` off an
   undecided direction — and labels derived from UNDECIDED are never
   cached under the ``classification`` artifact kind (a later, slower
-  pass must be able to improve on them).
+  pass must be able to improve on them);
+* a parallel engine under inclusion dependencies stores its labels
+  under constrained keys, never under the keys an unconstrained engine
+  sharing its store reads.
 """
 
+from repro.constraints import parse_constraint
 from repro.coql.views import ViewCatalog
 from repro.engine import (
     CLASSIFICATIONS,
     ContainmentEngine,
+    ParallelContainmentEngine,
     UNDECIDED,
     classification_of,
 )
+from repro.pipeline import ArtifactStore
 from repro.engine.core import resolve_classifications
 
 SCHEMA = {"dept": ("dname", "floor"), "emp": ("name", "dep", "salary_band")}
@@ -110,11 +116,10 @@ def test_undecided_labels_are_demoted_and_never_cached():
     timed-out parallel check produces): every label must demote, and
     nothing may land in the classification cache."""
     engine = ContainmentEngine()
-    pipeline = engine.pipeline()
     candidates = [VIEWS["flat"], VIEWS["second_floor"]]
 
     labels = resolve_classifications(
-        pipeline, QUERY, candidates, SCHEMA, None, "certificate",
+        engine, QUERY, candidates, SCHEMA,
         lambda pairs: [UNDECIDED] * len(pairs),
     )
     assert labels == ["irrelevant", "irrelevant"]
@@ -124,7 +129,7 @@ def test_undecided_labels_are_demoted_and_never_cached():
     # the undecided forward direction can never yield "subsuming" — and
     # the label still stays out of the cache.
     labels = resolve_classifications(
-        pipeline, QUERY, candidates, SCHEMA, None, "certificate",
+        engine, QUERY, candidates, SCHEMA,
         lambda pairs: [
             UNDECIDED if index % 2 == 0 else True
             for index in range(len(pairs))
@@ -136,8 +141,37 @@ def test_undecided_labels_are_demoted_and_never_cached():
 
     # Fully decided verdicts, by contrast, are cached.
     labels = resolve_classifications(
-        pipeline, QUERY, candidates, SCHEMA, None, "certificate",
+        engine, QUERY, candidates, SCHEMA,
         lambda pairs: [True] * len(pairs),
     )
     assert labels == ["equivalent", "equivalent"]
     assert engine.store().sizes().get("classification", 0) == 2
+
+
+def test_parallel_labels_are_decided_and_keyed_under_one_constraint_set():
+    schema = {"employee": ("name", "dept"), "manager": ("name", "level")}
+    dependency = parse_constraint("manager[name] -> employee[name]")
+    query = "select [n: m.name] from m in manager"
+    view = "select [n: e.name] from e in employee"
+    store = ArtifactStore()
+    with ParallelContainmentEngine(
+        jobs=1, constraints=(dependency,), store=store
+    ) as parallel:
+        # Every manager is an employee, so the view answers the query.
+        assert parallel.classify_many(query, [view], schema) == ["subsuming"]
+    # Without the dependency neither direction holds.
+    plain = ContainmentEngine(store=store)
+    assert plain.classify_many(query, [view], schema) == ["irrelevant"]
+    assert store.sizes()["classification"] == 2
+
+    # A catalog that opts out of its engine's dependencies classifies
+    # without them on the sharded path too.
+    store = ArtifactStore()
+    constrained = ContainmentEngine(store=store, constraints=(dependency,))
+    catalog = ViewCatalog(
+        schema, views={"v": view}, engine=constrained, constraints=()
+    )
+    assert catalog.classify(query, jobs=1) == {"v": "irrelevant"}
+    assert catalog.classify(query) == {"v": "irrelevant"}
+    plain = ContainmentEngine(store=store)
+    assert plain.classify_many(query, [view], schema) == ["irrelevant"]

@@ -109,10 +109,25 @@ class TestProtocol:
             client.contain(FLAT, FLAT)
         assert info.value.status == 400
 
-    def test_bad_method_is_400(self, client):
-        with pytest.raises(ServiceError) as info:
-            client.contain(FLAT, FLAT, SCHEMA, method="oracle")
-        assert info.value.status == 400
+    def test_method_field_is_ignored(self, client):
+        # The service decides by one method; "method" is an unknown
+        # field like any other.
+        assert client.contain(FLAT, FLAT, SCHEMA, method="oracle") is True
+
+    def test_witnesses_field_cannot_change_the_verdict(self, client):
+        # Zero witness copies once turned this containment into False.
+        sup = (
+            "select [v0: r1.b, inner0: (select [v1: r2.b] from r2 in r"
+            " where r2.a = r1.a)] from r1 in r"
+        )
+        sub = (
+            "select [v0: r1.b, inner0: (select [v1: s2.k] from s2 in s"
+            " where s2.k = r1.b)] from r1 in r"
+        )
+        for witnesses in (0, 1, 2, None):
+            assert client.contain(
+                sup, sub, "r:a,b;s:k,b", witnesses=witnesses
+            ) is True, witnesses
 
     def test_unknown_route_is_404(self, service):
         conn = HTTPConnection(service.host, service.port, timeout=10)

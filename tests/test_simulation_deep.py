@@ -16,6 +16,7 @@ from repro.workloads import (
     random_coql_deep,
 )
 from repro.coql import contains
+from repro.engine import ContainmentEngine
 
 SCHEMA = {"r": 2, "s": 2}
 
@@ -93,7 +94,8 @@ class TestDepthThree:
 
 
 class TestCanonicalMethod:
-    """coql.contains(method='canonical') agrees with the certificate."""
+    """``ContainmentEngine(method="canonical")`` agrees with the
+    certificate."""
 
     COQL_SCHEMA = {"r": ("a", "b"), "s": ("k", "b")}
 
@@ -124,15 +126,14 @@ class TestCanonicalMethod:
                 for seed in range(12)
             ]
             least = 6
+        canonical = ContainmentEngine(method="canonical")
         compared = 0
         for q1, q2 in pairs:
             try:
                 by_certificate = contains(q2, q1, self.COQL_SCHEMA)
             except IncomparableQueriesError:
                 continue
-            by_canonical = contains(
-                q2, q1, self.COQL_SCHEMA, method="canonical"
-            )
+            by_canonical = canonical.contains(q2, q1, self.COQL_SCHEMA)
             assert by_certificate is by_canonical, (q1, q2)
             compared += 1
         assert compared >= least
@@ -141,9 +142,4 @@ class TestCanonicalMethod:
         from repro.errors import UnsupportedQueryError
 
         with pytest.raises(UnsupportedQueryError):
-            contains(
-                "select [v: x.a] from x in r",
-                "select [v: x.a] from x in r",
-                self.COQL_SCHEMA,
-                method="zen",
-            )
+            ContainmentEngine(method="zen")

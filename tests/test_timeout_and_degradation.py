@@ -98,14 +98,6 @@ class TestTimeoutPath:
         assert stats.counter("timeouts") == 1
         assert stats.counter("tasks_dispatched") == 3
 
-    def test_raise_policy_propagates_timeout(self):
-        with ParallelContainmentEngine(
-            jobs=2, timeout_s=0.4, chunk_size=1, on_timeout="raise"
-        ) as engine:
-            with pytest.raises(ContainmentTimeout):
-                engine.simulated_many([(HARD_SUB, HARD_SUP)])
-            assert engine.stats().counter("timeouts") == 1
-
     def test_in_process_timeout_without_pool(self):
         """jobs=1 never forks: the deadline fires in the main thread."""
         engine = ParallelContainmentEngine(jobs=1, timeout_s=0.4)
