@@ -45,9 +45,15 @@ __all__ = [
 
 
 class Expr(PicklableSlots):
-    """Base class for COQL expressions."""
+    """Base class for COQL expressions.
 
-    __slots__ = ("_span", "_digest")
+    Besides the parser's ``_span``, two memo slots are filled on first
+    use and never take part in equality, hashing, fingerprints or
+    pickles: ``_digest`` (:mod:`repro.pipeline.fingerprint`) and
+    ``_family`` (:func:`repro.coql.family.union_branches`).
+    """
+
+    __slots__ = ("_span", "_digest", "_family")
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)

@@ -29,6 +29,7 @@ here both as the specification the engine must agree with and for
 callers that need a cold path.
 """
 
+import functools
 import itertools
 
 from repro.errors import IncomparableQueriesError
@@ -51,7 +52,12 @@ __all__ = [
 def as_schema(schema):
     """Normalize schema specs: ``{name: RecordType}`` or ``{name:
     iterable of attribute names}`` (attributes then atomic) or a
-    Database (its schema is used)."""
+    Database (its schema is used).
+
+    Returns a fresh dict on every call, but the atomic ``RecordType``
+    built for an attribute tuple is shared process-wide, so every key
+    derived over the schema reuses that type's memoized digest.
+    """
     from repro.objects.database import Database
 
     if isinstance(schema, Database):
@@ -61,8 +67,16 @@ def as_schema(schema):
         if isinstance(spec, RecordType):
             out[name] = spec
         else:
-            out[name] = RecordType({attr: ATOM for attr in spec})
+            out[name] = _atomic_record_type(tuple(spec))
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _atomic_record_type(attrs):
+    """The record type with atomic attributes *attrs*, built once per
+    distinct tuple (bounded: schemas are few, and an evicted type is
+    merely rebuilt)."""
+    return RecordType({attr: ATOM for attr in attrs})
 
 
 def prepare(query, schema, name="q"):
@@ -178,7 +192,8 @@ def empty_set_free(query, schema):
     """True when the query provably never produces an empty set.
 
     Sufficient syntactic condition: no always-empty components, and every
-    nested set node is provably non-empty for each parent row.
+    nested set node is provably non-empty for each parent row.  A union
+    query qualifies when every branch of its family does.
     """
     from repro.engine import default_engine
 
@@ -194,6 +209,7 @@ def equivalent(q1, q2, schema):
     the general equivalence question is the open problem the paper
     answers only partially, and this function raises
     :class:`UnsupportedQueryError` — use :func:`weakly_equivalent`.
+    A union is decided only when every branch on both sides is flat.
     """
     from repro.engine import default_engine
 

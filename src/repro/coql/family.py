@@ -61,6 +61,12 @@ def _reject_nonlinear(expr, where):
         _reject_nonlinear(child, where)
 
 
+#: The ``_family`` memo of a union-free query.  Storing ``(expr,)``
+#: instead would make the AST reference itself, so every dropped query
+#: would wait for the cyclic collector.
+_UNION_FREE = object()
+
+
 def union_branches(expr):
     """The union-free branches whose union equals *expr*, in
     deterministic (source) order, duplicates removed first-wins.
@@ -70,10 +76,27 @@ def union_branches(expr):
     and caches exactly what it did before families existed.  A single
     branch skips the duplicate filter, whose set would hash the whole
     tree.
+
+    The result is memoized in the AST's ``_family`` slot, so asking
+    again never re-walks the tree; an expansion that raises memoizes
+    nothing and raises afresh on every call.
     """
+    family = getattr(expr, "_family", None)
+    if family is None:
+        family = _family(expr)
+        # Racing threads store equal families: the expansion is a pure
+        # function of the immutable tree.
+        object.__setattr__(expr, "_family", family)
+    if family is _UNION_FREE:
+        return (expr,)
+    return family
+
+
+def _family(expr):
     branches = _expand(expr)
     if len(branches) == 1:
-        return (branches[0],)
+        # Only a union makes new nodes, so a lone branch is expr itself.
+        return _UNION_FREE
     seen = set()
     out = []
     for branch in branches:

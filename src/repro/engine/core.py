@@ -577,8 +577,7 @@ class ContainmentEngine:
         to databases satisfying them.
         """
         constraints = self._resolve_constraints(constraints)
-        # Normalized once, so every prepare of this check keys on the
-        # same RecordType objects and their memoized digests.
+        # One dict per check rather than one per prepare.
         schema = as_schema(schema)
         with self._check("contains"):
             self._stats.tally("contains_calls")
@@ -628,19 +627,29 @@ class ContainmentEngine:
             )
 
     def empty_set_free(self, query, schema):
-        """True when the query provably never produces an empty set."""
+        """True when the query provably never produces an empty set.
+
+        A union query is empty-set free when every branch of its family
+        is: an element of ``⋃ᵢ Qᵢ(D)`` is an element of one ``Qᵢ(D)``,
+        so its inner sets come from that branch.  A constant-empty
+        branch answers False, like a constant-empty query.
+        """
         with self._check("empty_set_free"):
-            encoded = self.prepare(query, schema)
-            if encoded.is_empty:
-                return False
-            if encoded.empty_paths:
-                return False
-            with self._tracer.span("obligations"):
-                return all(
-                    self._provably_nonempty(encoded.query, p)
-                    for p in encoded.query.paths()
-                    if p
-                )
+            return all(
+                self._branch_empty_set_free(branch, schema)
+                for branch in self._family(query)
+            )
+
+    def _branch_empty_set_free(self, branch, schema):
+        encoded = self.prepare(branch, schema)
+        if encoded.is_empty or encoded.empty_paths:
+            return False
+        with self._tracer.span("obligations"):
+            return all(
+                self._provably_nonempty(encoded.query, p)
+                for p in encoded.query.paths()
+                if p
+            )
 
     def provably_nonempty(self, query, path):
         """True when the group at *path* is non-empty for every parent row.
@@ -737,7 +746,15 @@ class ContainmentEngine:
             return minimize_coql(query, schema, engine=self)
 
     def equivalent(self, q1, q2, schema):
-        """Decide equivalence for empty-set-free queries (else raise)."""
+        """Decide equivalence for empty-set-free queries (else raise).
+
+        A union is decided only when every branch on both sides is
+        flat: there the Hoare order is ``⊆`` and the Sagiv–Yannakakis
+        reduction is complete.  A union with a set-valued branch raises,
+        because it absorbs a branch whose inner sets are smaller than
+        another branch's: weakly equivalent to the larger one alone,
+        yet not equal to it.
+        """
         if not self.empty_set_free(q1, schema) or not self.empty_set_free(
             q2, schema
         ):
@@ -746,7 +763,21 @@ class ContainmentEngine:
                 "(weak equivalence is decidable in general: use "
                 "weakly_equivalent)"
             )
+        families = (self._family(q1), self._family(q2))
+        if any(len(family) > 1 for family in families) and not all(
+            self._is_flat(branch, schema)
+            for family in families for branch in family
+        ):
+            raise UnsupportedQueryError(
+                "equivalence of a union is decided for flat branches only: "
+                "a union absorbs a branch with smaller inner sets, so weak "
+                "equivalence does not imply equality (use weakly_equivalent)"
+            )
         return self.weakly_equivalent(q1, q2, schema)
+
+    def _is_flat(self, branch, schema):
+        """True when the (non-empty) *branch* has no set-valued path."""
+        return not self.prepare(branch, schema).query.root.children
 
     # -- batch entry points --------------------------------------------
 

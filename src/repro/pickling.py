@@ -11,7 +11,7 @@ processes and verdicts back.
 
 The mixin contributes no slots of its own, so subclasses keep their
 exact memory layout; it collects slot names across the whole MRO, so it
-works for any depth of (single-inheritance) subclassing.  Three memo
+works for any depth of (single-inheritance) subclassing.  Four memo
 slots are never pickled:
 
 * ``_digest``, the content-digest memo of
@@ -21,6 +21,9 @@ slots are never pickled:
 * ``_order``, a set's sorted-iteration memo
   (:class:`repro.objects.values.CSet`): cheap to recompute, and left
   unset the copy sorts itself on its first iteration.
+* ``_family``, a query's union-family memo
+  (:func:`repro.coql.family.union_branches`): it may hold a
+  process-local marker, and left unset the copy expands on first use.
 * ``_hash``, the ``hash()`` memo: ``str`` hashes are salted per process
   (``PYTHONHASHSEED``), so a hash computed by the writer is wrong in
   every other reader — a loaded object would compare equal to a fresh
@@ -33,7 +36,7 @@ slots are never pickled:
 __all__ = ["PicklableSlots"]
 
 #: Memo slots that never cross a pickle boundary.
-_MEMO_SLOTS = frozenset({"_hash", "_digest", "_order"})
+_MEMO_SLOTS = frozenset({"_hash", "_digest", "_order", "_family"})
 
 
 class PicklableSlots:

@@ -28,9 +28,11 @@ canonical NaN (so NaN-carrying inputs still key deterministically);
 ints and floats keep distinct tags, so ``1`` and ``1.0`` never collide.  Immutable
 ``__slots__`` value objects (AST nodes, terms, grouping queries, types)
 are encoded as their class name plus slot values — skipping the
-``_hash`` and ``_digest`` memo slots, a set's ``_order`` memo and the
-parser-attached ``_span`` metadata, which by design never participate
-in equality.
+``_hash`` and ``_digest`` memo slots, a set's ``_order`` memo, a
+query's ``_family`` memo and the parser-attached ``_span`` metadata,
+which by design never participate in equality.  Which of these rules
+applies depends on the class alone, so it is looked up once per class
+(:data:`_ENCODERS`); the rules are tried in the order written here.
 
 Digest memo: the value classes that key derivation walks (COQL
 ``Expr`` nodes, ``Atom``, ``ConjunctiveQuery``, ``GroupingNode``,
@@ -52,7 +54,15 @@ __all__ = ["fingerprint", "artifact_key"]
 _UNSET = object()
 
 #: Slot names that are memoization / provenance metadata, never content.
-_METADATA_SLOTS = frozenset({"_hash", "_span", "_digest", "_order"})
+_METADATA_SLOTS = frozenset(
+    {"_hash", "_span", "_digest", "_order", "_family"}
+)
+
+#: ``{class: encoder}``: the encoding rule of each class met so far,
+#: resolved once by :func:`_encoder_for`, so ``_feed`` dispatches on
+#: ``type(obj)`` instead of testing ``isinstance`` rule by rule.  Like
+#: :data:`_LAYOUTS`, it needs no bound.
+_ENCODERS = {}
 
 #: ``{class: (header, ((slot name, encoded name), ...), memoized)}``:
 #: the encoding's per-class constants, derived once from the MRO.
@@ -88,57 +98,116 @@ def _layout(klass):
 
 
 def _feed(hasher, obj):
-    if obj is None:
-        hasher.update(b"N")
-    elif obj is True:
-        hasher.update(b"B1")
-    elif obj is False:
-        hasher.update(b"B0")
-    elif isinstance(obj, int):
-        data = repr(obj).encode("ascii")
-        hasher.update(b"I" + struct.pack(">I", len(data)) + data)
-    elif isinstance(obj, float):
-        # Structurally equal floats must share a digest (the store keys
-        # on structure, and -0.0 == 0.0 in every query comparison), and
-        # NaN must key deterministically even though NaN != NaN.  So the
-        # digest sees a canonical bit pattern: -0.0 is folded into +0.0
-        # and every NaN payload into one canonical NaN.
-        if obj != obj:  # NaN (any payload, any sign)
-            hasher.update(b"F" + struct.pack(">d", float("nan")))
-        else:
-            hasher.update(b"F" + struct.pack(">d", obj + 0.0))
-    elif isinstance(obj, str):
-        hasher.update(_encoded_str(obj))
-    elif isinstance(obj, bytes):
-        hasher.update(b"Y" + struct.pack(">I", len(obj)) + obj)
-    elif isinstance(obj, tuple):
-        hasher.update(b"T" + struct.pack(">I", len(obj)))
-        for item in obj:
-            _feed(hasher, item)
-    elif isinstance(obj, list):
-        # A distinct tag from tuples: ("a",) and ["a"] are different
-        # structures, and sharing the T tag let one artifact alias
-        # across kinds whose keys differ only in sequence type.
-        hasher.update(b"L" + struct.pack(">I", len(obj)))
-        for item in obj:
-            _feed(hasher, item)
-    elif isinstance(obj, (set, frozenset)):
-        hasher.update(b"E" + struct.pack(">I", len(obj)))
-        for digest in sorted(_digest(item) for item in obj):
-            hasher.update(digest)
-    elif isinstance(obj, dict):
-        hasher.update(b"D" + struct.pack(">I", len(obj)))
-        for digest in sorted(
-            _digest((key, value)) for key, value in obj.items()
-        ):
-            hasher.update(digest)
-    elif hasattr(type(obj), "__slots__"):
-        hasher.update(_slots_digest(obj))
+    klass = type(obj)
+    try:
+        encoder = _ENCODERS[klass]
+    except KeyError:
+        encoder = _ENCODERS[klass] = _encoder_for(klass)
+    encoder(hasher, obj)
+
+
+def _encoder_for(klass):
+    """How to encode instances of *klass*: the first matching rule, in
+    the order the encoding has always tested them.  So a ``bool`` is
+    not an ``int``, an ``IntEnum`` is one, and a ``namedtuple`` (whose
+    class declares ``__slots__ = ()``) is a tuple, not a slots object.
+    """
+    for base, encoder in _RULES:
+        if issubclass(klass, base):
+            return encoder
+    if hasattr(klass, "__slots__"):
+        return _feed_slots
+    return _reject
+
+
+def _feed_none(hasher, obj):
+    hasher.update(b"N")
+
+
+def _feed_bool(hasher, obj):
+    hasher.update(b"B1" if obj else b"B0")
+
+
+def _feed_int(hasher, obj):
+    data = repr(obj).encode("ascii")
+    hasher.update(b"I" + struct.pack(">I", len(data)) + data)
+
+
+def _feed_float(hasher, obj):
+    # Structurally equal floats must share a digest (the store keys
+    # on structure, and -0.0 == 0.0 in every query comparison), and
+    # NaN must key deterministically even though NaN != NaN.  So the
+    # digest sees a canonical bit pattern: -0.0 is folded into +0.0
+    # and every NaN payload into one canonical NaN.
+    if obj != obj:  # NaN (any payload, any sign)
+        hasher.update(b"F" + struct.pack(">d", float("nan")))
     else:
-        raise TypeError(
-            "cannot fingerprint %r (no canonical encoding for %s)"
-            % (obj, type(obj).__name__)
-        )
+        hasher.update(b"F" + struct.pack(">d", obj + 0.0))
+
+
+def _feed_str(hasher, obj):
+    hasher.update(_encoded_str(obj))
+
+
+def _feed_bytes(hasher, obj):
+    hasher.update(b"Y" + struct.pack(">I", len(obj)) + obj)
+
+
+def _feed_tuple(hasher, obj):
+    hasher.update(b"T" + struct.pack(">I", len(obj)))
+    for item in obj:
+        _feed(hasher, item)
+
+
+def _feed_list(hasher, obj):
+    # A distinct tag from tuples: ("a",) and ["a"] are different
+    # structures, and sharing the T tag let one artifact alias
+    # across kinds whose keys differ only in sequence type.
+    hasher.update(b"L" + struct.pack(">I", len(obj)))
+    for item in obj:
+        _feed(hasher, item)
+
+
+def _feed_set(hasher, obj):
+    hasher.update(b"E" + struct.pack(">I", len(obj)))
+    for digest in sorted(_digest(item) for item in obj):
+        hasher.update(digest)
+
+
+def _feed_dict(hasher, obj):
+    hasher.update(b"D" + struct.pack(">I", len(obj)))
+    for digest in sorted(
+        _digest((key, value)) for key, value in obj.items()
+    ):
+        hasher.update(digest)
+
+
+def _feed_slots(hasher, obj):
+    hasher.update(_slots_digest(obj))
+
+
+def _reject(hasher, obj):
+    raise TypeError(
+        "cannot fingerprint %r (no canonical encoding for %s)"
+        % (obj, type(obj).__name__)
+    )
+
+
+#: The rules :func:`_encoder_for` tries, in order; a class matching
+#: none of them is a slots object or rejected.
+_RULES = (
+    (type(None), _feed_none),
+    (bool, _feed_bool),
+    (int, _feed_int),
+    (float, _feed_float),
+    (str, _feed_str),
+    (bytes, _feed_bytes),
+    (tuple, _feed_tuple),
+    (list, _feed_list),
+    (set, _feed_set),
+    (frozenset, _feed_set),
+    (dict, _feed_dict),
+)
 
 
 def _slots_digest(obj):

@@ -140,6 +140,20 @@ DEFAULT_LIMITS = {
 }
 
 
+def _check_query(query):
+    from repro.coql.ast import Expr
+
+    if not isinstance(query, Expr):
+        raise TypeCheckError("not a COQL query: %r" % (query,))
+
+
+def _prepare_key(query, schema, name):
+    """The ``prepare`` key of a parsed *query* over a normalized
+    *schema*: the one derivation behind :meth:`Pipeline.prepare_key`
+    and the key :meth:`Pipeline.prepare` stores under."""
+    return artifact_key("prepare", query, tuple(sorted(schema.items())), name)
+
+
 class Pipeline:
     """Drives the staged decision procedure over one artifact store.
 
@@ -207,18 +221,13 @@ class Pipeline:
         compute bit-identical keys for the pairs the parent dispatched.
         *query* may be text (parsed here, untraced) or an AST.
         """
-        from repro.coql.ast import Expr
         from repro.coql.containment import as_schema
         from repro.coql.parser import parse_coql
 
-        schema = as_schema(schema)
         if isinstance(query, str):
             query = parse_coql(query)
-        if not isinstance(query, Expr):
-            raise TypeCheckError("not a COQL query: %r" % (query,))
-        return artifact_key(
-            "prepare", query, tuple(sorted(schema.items())), name
-        )
+        _check_query(query)
+        return _prepare_key(query, as_schema(schema), name)
 
     def prepare(self, query, schema, name="q"):
         """Stages ``parse → typecheck → encode → build_grouping``.
@@ -226,7 +235,6 @@ class Pipeline:
         Returns the :class:`repro.coql.encode.EncodedQuery` artifact,
         cached under kind ``prepare`` when the pipeline has a store.
         """
-        from repro.coql.ast import Expr
         from repro.coql.containment import as_schema
         from repro.coql.encode import encode_query
         from repro.coql.normalize import normalize
@@ -236,13 +244,10 @@ class Pipeline:
         with self.tracer.span("prepare", label=name) as span:
             if isinstance(query, str):
                 query = self.parse(query)
-            if not isinstance(query, Expr):
-                raise TypeCheckError("not a COQL query: %r" % (query,))
+            _check_query(query)
             key = None
             if self.store is not None:
-                key = artifact_key(
-                    "prepare", query, tuple(sorted(schema.items())), name
-                )
+                key = _prepare_key(query, schema, name)
                 cached = self._lookup("prepare", key)
                 if cached is not MISSING:
                     self._tally("prepare_hits")

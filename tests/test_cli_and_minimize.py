@@ -103,6 +103,33 @@ class TestCli:
         )
         assert code == 0
 
+    def test_equiv_strict_decides_unions(self, capsys):
+        code = main(
+            [
+                "equiv",
+                "--schema",
+                "r:a,b;s:k,b",
+                "select [v: x.a] from x in r union select [v: y.k] from y in s",
+                "select [v: y.k] from y in s union select [v: x.a] from x in r",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "equivalent"
+
+    def test_equiv_strict_refuses_union_with_nested_branches(self, capsys):
+        wide = (
+            "select [a: x.a, k: select [b: y.b] from y in r"
+            " where y.a = x.a] from x in r"
+        )
+        narrow = (
+            "select [a: x.a, k: select [b: y.b] from y in r"
+            " where y.a = x.a and y.b = x.b] from x in r"
+        )
+        both = "(%s) union (%s)" % (narrow, wide)
+        assert main(["equiv", "--schema", "r:a,b", both, wide]) == 2
+        assert "flat branches" in capsys.readouterr().err
+        assert main(["equiv", "--weak", "--schema", "r:a,b", both, wide]) == 0
+
     def test_equiv_strict_raises_on_open_case(self, capsys):
         code = main(
             [

@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.errors import TypeCheckError
 from repro.coql.containment import as_schema, prepare
 from repro.coql.parser import parse_coql
 from repro.engine import ContainmentEngine
@@ -492,7 +493,7 @@ class TestFingerprint:
                 query.root,
                 query.root.own_atoms[0],
                 query.to_flat_cq(("mids",)),
-                as_schema(SCHEMA)["r"],
+                RecordType({"a": ATOM, "b": ATOM}),
                 SetType(RecordType({"b": ATOM})),
             ]
 
@@ -528,6 +529,33 @@ class TestFingerprint:
         for __ in range(3):
             assert engine.contains(LINKED, LINKED, SCHEMA) is True
         assert built == []
+
+    def test_warm_check_rebuilds_no_schema_type_and_no_family(
+        self, monkeypatch
+    ):
+        from repro.coql import family
+
+        engine = ContainmentEngine()
+        verdict = engine.contains(WIDER, LINKED, SCHEMA)
+        built = []
+        expanded = []
+        init = RecordType.__init__
+        expand = family._expand
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counting_expand(expr):
+            expanded.append(expr)
+            return expand(expr)
+
+        monkeypatch.setattr(RecordType, "__init__", counting_init)
+        monkeypatch.setattr(family, "_expand", counting_expand)
+        for __ in range(3):
+            assert engine.contains(WIDER, LINKED, SCHEMA) is verdict
+        assert built == []
+        assert expanded == []
 
     def test_concurrent_first_fingerprints_agree(self):
         from repro.workloads.generators import random_coql_deep
@@ -570,6 +598,26 @@ class TestFingerprint:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [expected] * workers
+
+
+class TestSchemaIntern:
+    def test_equal_specs_share_record_types_in_fresh_dicts(self):
+        first = as_schema(SCHEMA)
+        second = as_schema({"r": ["a", "b"], "s": ["k", "b"]})
+        assert first is not second
+        assert first["r"] is second["r"] and first["s"] is second["s"]
+        first["r"] = None
+        assert as_schema(SCHEMA)["r"] is second["r"]
+
+    @pytest.mark.parametrize("spec, error, message", [
+        ({"r": [1]}, TypeCheckError, "attribute names must be strings: 1"),
+        ({"r": [["a"]]}, TypeError, "unhashable type: 'list'"),
+        ({"r": None}, TypeError, "'NoneType' object is not iterable"),
+    ])
+    def test_malformed_specs_raise_as_before(self, spec, error, message):
+        with pytest.raises(error) as excinfo:
+            as_schema(spec)
+        assert str(excinfo.value) == message
 
 
 # -- one prepare implementation -----------------------------------------

@@ -63,6 +63,27 @@ class TestProtocol:
         assert info.value.status == 422
         assert info.value.kind == "UnsupportedQueryError"
 
+    def test_equiv_decides_unions(self, client):
+        union_rs = "select [v: x.a] from x in r union select [v: y.k] from y in s"
+        union_sr = "select [v: y.k] from y in s union select [v: x.a] from x in r"
+        assert client.equiv(union_rs, union_sr, SCHEMA) is True
+        assert client.equiv(union_rs, FLAT, SCHEMA) is False
+        # A union whose branches build sets stays refused, though both
+        # are empty-set free: it keeps the narrower branch's smaller
+        # inner sets, which weak equivalence cannot see.
+        wide = (
+            "select [a: x.a, kids: select [b: y.b] from y in r"
+            " where y.a = x.a] from x in r"
+        )
+        narrow = wide.replace("y.a = x.a", "y.a = x.a and y.b = x.b")
+        both = "(%s) union (%s)" % (narrow, wide)
+        assert client.equiv(both, wide, SCHEMA, weak=True) is True
+        with pytest.raises(ServiceError) as info:
+            client.equiv(both, wide, SCHEMA)
+        assert info.value.status == 422
+        assert info.value.kind == "UnsupportedQueryError"
+        assert "flat branches" in info.value.message
+
     def test_matrix(self, client):
         matrix = client.matrix([WIDER, UNLINKED, FLAT], SCHEMA)
         assert matrix[0][1] is True      # UNLINKED ⊑ WIDER

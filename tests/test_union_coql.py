@@ -8,6 +8,9 @@ evaluation, Sagiv–Yannakakis verdicts on both engines with
 persistence of the new artifact kinds through the SQLite tier.
 """
 
+import pickle
+import sys
+import threading
 import traceback
 
 import pytest
@@ -32,6 +35,7 @@ from repro.errors import (
     union_arity_mismatch,
 )
 from repro.objects.database import Database
+from repro.pipeline import fingerprint
 
 SCHEMA = as_schema({
     "r": {"a": "atom", "b": "atom"},
@@ -114,6 +118,77 @@ class TestFamily:
         assert "not distributable" in str(excinfo.value)
         assert excinfo.value.span is not None
 
+    def test_family_is_memoized_on_the_ast(self):
+        query = parse_coql("select [a: x.a] from x in (r union s)")
+        first = union_branches(query)
+        assert union_branches(query) is first
+
+    def test_memo_is_invisible(self):
+        for text in (UNION_RS, R_BRANCH):
+            query = parse_coql(text)
+            union_branches(query)
+            fresh = parse_coql(text)
+            assert query == fresh and hash(query) == hash(fresh)
+            assert fingerprint(query) == fingerprint(fresh)
+            assert pickle.dumps(query) == pickle.dumps(fresh)
+
+    def test_union_free_memo_holds_no_self_reference(self):
+        query = parse_coql(R_BRANCH)
+        before = sys.getrefcount(query)
+        assert union_branches(query) == (query,)
+        assert sys.getrefcount(query) == before
+
+    def test_non_distributable_union_raises_fresh_every_call(self):
+        query = parse_coql("select ({x.a} union {x.b}) from x in r")
+        raised = []
+        depths = set()
+        for __ in range(3):
+            with pytest.raises(UnsupportedQueryError) as excinfo:
+                union_branches(query)
+            raised.append(excinfo.value)
+            depths.add(len(traceback.extract_tb(excinfo.tb)))
+        assert len(depths) == 1, depths
+        assert len({id(exc) for exc in raised}) == len(raised)
+        assert all(exc.span == (1, 9) for exc in raised)
+
+    def test_threads_racing_on_fresh_asts_agree(self):
+        texts = [
+            UNION_RS,
+            R_BRANCH,
+            "select [a: x.a] from x in (r union s), y in (s union r)",
+            "flatten(select {x.a} from x in r union select {y.b} from y in s)",
+        ]
+        expected = [union_branches(parse_coql(text)) for text in texts]
+        shared = [parse_coql(text) for text in texts] * 4
+        workers = 8
+        results = [None] * workers
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def work(slot):
+            barrier.wait()
+            results[slot] = [union_branches(query) for query in shared]
+
+        threads = [
+            threading.Thread(target=work, args=(slot,))
+            for slot in range(workers)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected * 4] * workers
+        # Whichever thread published last, the memo now answers alone.
+        assert all(
+            union_branches(query) is union_branches(query)
+            for query in shared if contains_union(query)
+        )
+
     def test_raw_union_normalize_raises_spanned(self):
         with pytest.raises(UnsupportedQueryError) as excinfo:
             normalize(parse_coql(UNION_RS))
@@ -146,6 +221,50 @@ class TestEngineVerdicts:
         engine = ContainmentEngine()
         flipped = "(%s) union (%s)" % (S_BRANCH, R_BRANCH)
         assert engine.weakly_equivalent(UNION_RS, flipped, SCHEMA) is True
+
+    def test_strict_equivalence_decides_unions(self):
+        # Flat branches never build a set, so both families are
+        # empty-set free and weak equivalence is equivalence.
+        engine = ContainmentEngine()
+        flipped = "(%s) union (%s)" % (S_BRANCH, R_BRANCH)
+        assert engine.empty_set_free(UNION_RS, SCHEMA) is True
+        assert engine.equivalent(UNION_RS, flipped, SCHEMA) is True
+        assert engine.equivalent(UNION_RS, R_BRANCH, SCHEMA) is False
+        # One branch whose inner set may be empty spoils the family.
+        linked = (
+            "select [a: x.a, k: select [b: y.b] from y in r"
+            " where y.a = x.a] from x in r"
+        )
+        unlinked = "select [a: x.a, k: select [b: y.b] from y in s] from x in r"
+        assert engine.empty_set_free(linked, SCHEMA) is True
+        assert engine.empty_set_free(unlinked, SCHEMA) is False
+        mixed = "(%s) union (%s)" % (linked, unlinked)
+        assert engine.empty_set_free(mixed, SCHEMA) is False
+        with pytest.raises(UnsupportedQueryError):
+            engine.equivalent(mixed, mixed, SCHEMA)
+
+    def test_strict_equivalence_refuses_absorbing_unions(self):
+        # Both branches are empty-set free and NARROW ⊑ WIDE, so the
+        # union is weakly equivalent to WIDE alone.  It is not equal:
+        # the union keeps NARROW's smaller inner sets as extra elements.
+        wide = (
+            "select [a: x.a, k: select [b: y.b] from y in r"
+            " where y.a = x.a] from x in r"
+        )
+        narrow = (
+            "select [a: x.a, k: select [b: y.b] from y in r"
+            " where y.a = x.a and y.b = x.b] from x in r"
+        )
+        both = "(%s) union (%s)" % (narrow, wide)
+        db = Database.from_dict({"r": [{"a": 1, "b": 1}, {"a": 1, "b": 2}]})
+        union_answer = evaluate_coql(parse_coql(both), db)
+        wide_answer = evaluate_coql(parse_coql(wide), db)
+        assert len(union_answer) == 3 and len(wide_answer) == 1
+        engine = ContainmentEngine()
+        assert engine.empty_set_free(both, SCHEMA) is True
+        assert engine.weakly_equivalent(both, wide, SCHEMA) is True
+        with pytest.raises(UnsupportedQueryError, match="flat branches"):
+            engine.equivalent(both, wide, SCHEMA)
 
     def test_branch_verdicts_are_memoized(self):
         engine = ContainmentEngine()
