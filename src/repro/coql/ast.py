@@ -47,13 +47,15 @@ __all__ = [
 class Expr(PicklableSlots):
     """Base class for COQL expressions.
 
-    Besides the parser's ``_span``, two memo slots are filled on first
-    use and never take part in equality, hashing, fingerprints or
-    pickles: ``_digest`` (:mod:`repro.pipeline.fingerprint`) and
-    ``_family`` (:func:`repro.coql.family.union_branches`).
+    Besides the parser's ``_span``, three metadata slots never take part
+    in equality, hashing, fingerprints or pickles: the memos
+    ``_digest`` (:mod:`repro.pipeline.fingerprint`) and ``_family``
+    (:func:`repro.coql.family.union_branches`), filled on first use,
+    and ``_source``, the key of the text a parsed root came from (see
+    :func:`repro.pipeline.fingerprint.identity`).
     """
 
-    __slots__ = ("_span", "_digest", "_family")
+    __slots__ = ("_span", "_digest", "_family", "_source")
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)

@@ -256,7 +256,8 @@ class _Builder:
         raise TypeCheckError("not an atomic term: %r" % (nf_value,))
 
     def _unify(self, conds, columns, outer_vars):
-        """Turn equality conditions into a substitution.
+        """Turn equality conditions into a substitution: a plain
+        ``{term: representative}`` dict over every linked term.
 
         Raises :class:`_Unsat` when two distinct constants must be equal
         and :class:`UnsupportedQueryError` when a condition relates two
@@ -265,9 +266,14 @@ class _Builder:
         parent = {}
 
         def find(term):
-            while term in parent:
-                term = parent[term]
-            return term
+            root = term
+            while root in parent:
+                root = parent[root]
+            # Path compression.  This walk follows the pointers the first
+            # one did, so it ends at the very object found as the root.
+            while term is not root:
+                parent[term], term = root, parent[term]
+            return root
 
         def rank(term):
             # Higher rank wins as representative.
@@ -295,22 +301,7 @@ class _Builder:
                 )
             parent[right_term] = left_term
 
-        return _Resolved(parent)
-
-
-class _Resolved(dict):
-    """A substitution that follows union-find parent chains lazily."""
-
-    def __init__(self, parent):
-        super().__init__()
-        self._parent = parent
-
-    def get(self, term, default=None):
-        if term not in self._parent:
-            return default
-        while term in self._parent:
-            term = self._parent[term]
-        return term
+        return {term: find(term) for term in parent}
 
 
 def _substituted(term, substitution):

@@ -311,6 +311,11 @@ def parse_coql(text):
     :mod:`repro.analysis` to point diagnostics at real source locations.
     Input nested too deeply for the interpreter stack raises
     :class:`ParseError` too, at the token the parser had reached.
+
+    The root is named by the key of *text* in every store key
+    (:func:`repro.pipeline.fingerprint.identity`), so the tree and the
+    text share one ``prepare`` entry.  It carries the key's parts,
+    hashed on first use.
     """
     parser = _Parser(text)
     try:
@@ -321,7 +326,9 @@ def parse_coql(text):
                 % (parser.tokens[parser.index:-1], text),
                 span=parser.span_at(),
             )
-        return build(frozenset())
+        root = build(frozenset())
+        object.__setattr__(root, "_source", ("parse", text))
+        return root
     except RecursionError:
         where = parser.span_at()
         raise ParseError(

@@ -9,9 +9,10 @@ subproblems.  :class:`ContainmentEngine` drives the staged pipeline of
 exactly those boundaries:
 
 * ``prepare`` artifacts (parse → typecheck → encode → build_grouping)
-  are memoized per *(canonical query AST, schema, role)* — textual
-  queries are parsed first, so a query text and its parsed AST share
-  one entry;
+  are memoized per *(query, schema, role)*, where a query parsed from
+  text is named by its text's key and a query built in code by its
+  content digest — so a query text and ``parse_coql`` of it share one
+  entry, and so do two equal trees built in code;
 * simulation verdicts (``obligation_verdicts``) are memoized per
   truncated *(sub, sup)* obligation pair (plus the engine's method and
   the inclusion dependencies, if any), so obligations shared across
@@ -28,12 +29,18 @@ exactly those boundaries:
   weak-equivalence truncation sweep all reuse the compiled target
   instead of rebuilding and re-indexing it.
 
-Keys are content hashes (:mod:`repro.pipeline.fingerprint`), not object
-identities: the same query text and schema name the same artifact in
-every process, which is what lets the parallel engine's workers and the
-parent agree on cache entries, and what makes the store shareable
-between engines (pass ``store=`` to share one across a
-:class:`repro.coql.views.ViewCatalog`, the linter, and ad-hoc checks).
+Keys are SHA-256 digests (:mod:`repro.pipeline.fingerprint`), not
+object identities or ``hash()`` values: the same query text and schema
+name the same artifact in every process, which is what lets the
+parallel engine's workers and the parent agree on cache entries, and
+what makes the store shareable between engines (pass ``store=`` to
+share one across a :class:`repro.coql.views.ViewCatalog`, the linter,
+and ad-hoc checks).  The keys that name a query or a schema
+(``prepare``, ``branch_verdict``, ``classification``, ``chase``) are
+derived from the input's key (:func:`repro.pipeline.fingerprint.\
+identity`), so a fresh check keys each text once and digests no AST;
+the keys over grouping queries stay content digests, so equal
+truncations of different pairs share one verdict.
 
 Memoization safety: every cached object (:class:`Expr`,
 :class:`EncodedQuery`'s :class:`GroupingQuery`, verdict booleans) is
@@ -65,7 +72,7 @@ from repro.coql.family import contains_union, union_branches
 from repro.grouping.simulation import is_simulated
 from repro.cq import homomorphism
 from repro.engine.stats import EngineStats
-from repro.pipeline.fingerprint import artifact_key
+from repro.pipeline.fingerprint import artifact_key, identity
 from repro.pipeline.stages import Pipeline
 from repro.pipeline.store import MISSING, ArtifactStore
 from repro.pipeline.trace import Tracer
@@ -128,9 +135,10 @@ def resolve_classifications(engine, query, candidates, schema,
     The shared machinery behind :meth:`ContainmentEngine.classify_many`
     and :meth:`repro.engine.parallel.ParallelContainmentEngine.\
 classify_many`: labels are cached in *engine*'s store under the
-    ``classification`` artifact kind (content-keyed on both ASTs, the
-    schema, the engine's method and *constraints* — the dependencies
-    *decide_pairs* decides under — so they flow through a
+    ``classification`` artifact kind (keyed on both queries' and the
+    schema's :func:`~repro.pipeline.fingerprint.identity`, the engine's
+    method and *constraints* — the dependencies *decide_pairs* decides
+    under — so they flow through a
     :class:`~repro.pipeline.persist.TieredStore` to other processes),
     and only the missing pairs reach *decide_pairs* — one batch of
     interleaved ``(candidate, query), (query, candidate)`` containment
@@ -144,7 +152,6 @@ classify_many`: labels are cached in *engine*'s store under the
         pipeline.parse(candidate) if isinstance(candidate, str) else candidate
         for candidate in candidates
     ]
-    schema_items = tuple(sorted(schema.items()))
     store = pipeline.store
     labels = [None] * len(candidates)
     keys = [None] * len(candidates)
@@ -153,8 +160,8 @@ classify_many`: labels are cached in *engine*'s store under the
     for index, candidate in enumerate(candidates):
         if store is not None:
             keys[index] = artifact_key(
-                "classification", query, candidate, schema_items,
-                *engine._decision(constraints),
+                "classification", identity(query), identity(candidate),
+                identity(schema), *engine._decision(constraints),
             )
             cached = store.lookup("classification", keys[index])
             if cached is not MISSING:
@@ -233,8 +240,9 @@ class ContainmentEngine:
         call ``engine.store().flush()`` (or close the store) to push
         this process's write-back buffer to disk.
     :param retain_trace: keep per-check trace trees for export (True);
-        the parallel engine's workers pass False so a long-lived pool
-        only feeds the timers and never accumulates trace memory.
+        the parallel engine's workers and ``repro serve`` pass False so
+        a long-lived process only feeds the timers and the stage summary
+        and never accumulates trace memory.
     :param analyze: opt-in static-analysis pre-check: every
         :meth:`contains` call first runs :func:`repro.analysis.analyze`
         over both queries (cheap rules only, sharing this engine's
@@ -352,10 +360,12 @@ class ContainmentEngine:
         """Parse, type-check, normalize, and encode *query* — memoized.
 
         One pipeline invocation (stages ``parse`` →  ``typecheck`` →
-        ``encode`` → ``build_grouping``), cached under the content hash
-        of the parsed AST (so equal texts and equal :class:`Expr` trees
-        share one entry), the normalized schema, and the role *name*
-        given to the resulting grouping query.
+        ``encode`` → ``build_grouping``), cached under a key derived
+        from the query's identity, the normalized schema's digest and
+        the role *name* given to the resulting grouping query.  A query
+        parsed from text is named by the text's key, so a text and
+        ``parse_coql`` of it share one entry; an :class:`Expr` built in
+        code is named by its content digest, so equal trees share one.
         """
         return self._pipeline.prepare(query, schema, name)
 
@@ -489,8 +499,7 @@ class ContainmentEngine:
             query = self._pipeline.parse(query)
         return union_branches(query)
 
-    def _branch_verdict(self, sup_branch, sub_branch, schema, schema_items,
-                        constraints):
+    def _branch_verdict(self, sup_branch, sub_branch, schema, constraints):
         """One ``sub_branch ⊑ sup_branch`` verdict of the Sagiv–
         Yannakakis reduction, memoized under kind ``branch_verdict``.
 
@@ -504,8 +513,8 @@ class ContainmentEngine:
         key = None
         if store is not None:
             key = artifact_key(
-                "branch_verdict", sub_branch, sup_branch, schema_items,
-                self._method, constraints,
+                "branch_verdict", identity(sub_branch), identity(sup_branch),
+                identity(schema), self._method, constraints,
             )
             cached = store.lookup("branch_verdict", key)
             if cached is not MISSING:
@@ -539,7 +548,6 @@ class ContainmentEngine:
         incomparability; one that is merely not contained returns
         False.
         """
-        schema_items = tuple(sorted(as_schema(schema).items()))
         with self.tracer().span(
             "reduce_union", sub_branches=len(sub_branches),
             sup_branches=len(sup_branches),
@@ -549,8 +557,7 @@ class ContainmentEngine:
                 errors = []
                 for sup_branch in sup_branches:
                     verdict = self._branch_verdict(
-                        sup_branch, sub_branch, schema, schema_items,
-                        constraints,
+                        sup_branch, sub_branch, schema, constraints,
                     )
                     if isinstance(verdict, Exception):
                         errors.append(verdict)

@@ -11,7 +11,7 @@ processes and verdicts back.
 
 The mixin contributes no slots of its own, so subclasses keep their
 exact memory layout; it collects slot names across the whole MRO, so it
-works for any depth of (single-inheritance) subclassing.  Four memo
+works for any depth of (single-inheritance) subclassing.  Five memo
 slots are never pickled:
 
 * ``_digest``, the content-digest memo of
@@ -24,6 +24,10 @@ slots are never pickled:
 * ``_family``, a query's union-family memo
   (:func:`repro.coql.family.union_branches`): it may hold a
   process-local marker, and left unset the copy expands on first use.
+* ``_source``, the key of the text a parsed query came from
+  (:func:`repro.pipeline.fingerprint.identity`): like ``_digest`` it
+  names the tree under one encoder, so a copy restored elsewhere falls
+  back to its content digest until the ``parse`` stage stamps it again.
 * ``_hash``, the ``hash()`` memo: ``str`` hashes are salted per process
   (``PYTHONHASHSEED``), so a hash computed by the writer is wrong in
   every other reader — a loaded object would compare equal to a fresh
@@ -36,7 +40,9 @@ slots are never pickled:
 __all__ = ["PicklableSlots"]
 
 #: Memo slots that never cross a pickle boundary.
-_MEMO_SLOTS = frozenset({"_hash", "_digest", "_order", "_family"})
+_MEMO_SLOTS = frozenset(
+    {"_hash", "_digest", "_order", "_family", "_source"}
+)
 
 
 class PicklableSlots:

@@ -13,8 +13,10 @@ old per-engine ``_LRUCache`` tables could not offer:
   artifact (and what a future on-disk or cross-run cache would key on).
 * **canonical equality** — two structurally equal ASTs produced by
   different code paths (parsed text vs. programmatic construction, with
-  or without parser source spans) map to one digest, so they share one
-  cache entry by construction.
+  or without parser source spans) map to one digest.  Keys over trees
+  built in code therefore share one cache entry by construction; a
+  query parsed from text is named by its text instead (*keys from
+  keys*, below).
 
 The encoding is a tagged, length-prefixed serialization fed to one
 incremental hasher: primitives carry a type tag (tuples ``T`` and lists
@@ -29,10 +31,11 @@ ints and floats keep distinct tags, so ``1`` and ``1.0`` never collide.  Immutab
 ``__slots__`` value objects (AST nodes, terms, grouping queries, types)
 are encoded as their class name plus slot values — skipping the
 ``_hash`` and ``_digest`` memo slots, a set's ``_order`` memo, a
-query's ``_family`` memo and the parser-attached ``_span`` metadata,
-which by design never participate in equality.  Which of these rules
-applies depends on the class alone, so it is looked up once per class
-(:data:`_ENCODERS`); the rules are tried in the order written here.
+query's ``_family`` memo and ``_source`` stamp, and the parser-attached
+``_span`` metadata, which by design never participate in equality.
+Which of these rules applies depends on the class alone, so it is
+looked up once per class (:data:`_ENCODERS`); the rules are tried in
+the order written here.
 
 Digest memo: the value classes that key derivation walks (COQL
 ``Expr`` nodes, ``Atom``, ``ConjunctiveQuery``, ``GroupingNode``,
@@ -44,18 +47,29 @@ slot is never pickled (:class:`repro.pickling.PicklableSlots` skips
 it), because a digest restored from disk or shipped to a worker would
 outlive a change to this encoder.  Classes without the slot are
 encoded afresh on every call.
+
+Keys from keys: a key that names a query or a schema names it by
+:func:`identity`, not by its content.  A query parsed from text is
+named by the key of that text, which the ``parse`` stage has already
+computed to look the text up, so a fresh check digests no tree; a
+schema is named by a digest computed once per distinct schema.  Keys
+over the grouping queries the front half produces (``nonempty``,
+``obligation_verdicts``, ``targets``, ``cost_certificate``) stay
+content keys: equal truncations of different pairs share one verdict
+only because their contents are equal.
 """
 
+import functools
 import hashlib
 import struct
 
-__all__ = ["fingerprint", "artifact_key"]
+__all__ = ["fingerprint", "artifact_key", "identity"]
 
 _UNSET = object()
 
 #: Slot names that are memoization / provenance metadata, never content.
 _METADATA_SLOTS = frozenset(
-    {"_hash", "_span", "_digest", "_order", "_family"}
+    {"_hash", "_span", "_digest", "_order", "_family", "_source"}
 )
 
 #: ``{class: encoder}``: the encoding rule of each class met so far,
@@ -257,3 +271,37 @@ def artifact_key(kind, *parts):
     different artifact kinds can never collide.
     """
     return fingerprint((kind,) + parts)
+
+
+def identity(obj):
+    """The hex digest by which a key names the query or schema *obj*.
+
+    * A COQL query parsed from text is named by the key of its text,
+      ``artifact_key("parse", text)``.  The ``parse`` stage stamps that
+      key on every tree it returns, fresh or cached, in the root's
+      ``_source`` slot.  :func:`repro.coql.parser.parse_coql` stamps
+      the key's parts instead, and they are hashed here on first use, so
+      a text keyed by the stage is keyed once.
+    * Any other query (one built in code, a union branch, a tree
+      unpickled outside the ``parse`` stage) is named by its memoized
+      content digest, so equal trees share one name.
+    * A normalized schema ``{relation: RecordType}`` is named by the
+      digest of its sorted items, computed once per distinct schema.
+    """
+    if isinstance(obj, dict):
+        return _schema_identity(tuple(sorted(obj.items())))
+    source = getattr(obj, "_source", None)
+    if source is None:
+        return fingerprint(obj)
+    if type(source) is tuple:
+        source = artifact_key(*source)
+        # Racing threads store the same key.
+        object.__setattr__(obj, "_source", source)
+    return source
+
+
+@functools.lru_cache(maxsize=256)
+def _schema_identity(items):
+    """:func:`identity` of a schema, by its sorted items (bounded:
+    schemas are few, and an evicted one is merely digested again)."""
+    return fingerprint(items)

@@ -44,7 +44,7 @@ __all__ = ["PersistentStore", "TieredStore", "FORMAT_VERSION"]
 #: Bumped whenever the fingerprint scheme or the value encoding changes
 #: incompatibly; a store created under another version is cleared on
 #: open instead of serving stale artifacts.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class _Tally:

@@ -22,7 +22,7 @@ drift again.
 """
 
 from repro.errors import TypeCheckError
-from repro.pipeline.fingerprint import artifact_key
+from repro.pipeline.fingerprint import artifact_key, identity
 from repro.pipeline.store import MISSING, ArtifactStore, KindView
 from repro.pipeline.trace import Tracer
 
@@ -38,7 +38,7 @@ class Stage:
             DAG edges; the driver enforces them by construction).
         cache_kind: the :class:`ArtifactStore` segment the stage's
             artifact is cached under (None = never cached).
-        cache_key: human description of the content-hash key.
+        cache_key: human description of the store key.
         spans: the :class:`TraceEvent` stage names this stage emits.
         paper: the paper section the stage implements.
     """
@@ -65,8 +65,10 @@ class Stage:
 
 #: The decision procedure as an explicit DAG of typed stages.  The
 #: ``prepare`` artifact covers parse → typecheck → encode →
-#: build_grouping (one cache entry for the whole front half, keyed on
-#: the parsed AST so re-preparing a query replays nothing).
+#: build_grouping (one cache entry for the whole front half, so
+#: re-preparing a query replays nothing).  ``id(...)`` in a key is
+#: :func:`repro.pipeline.fingerprint.identity`: a parsed query's text
+#: key, a built query's content digest, a schema's digest.
 STAGES = (
     Stage("parse", ("coql_text",), "coql_ast", cache_kind="parse",
           cache_key="sha256(coql_text)",
@@ -79,7 +81,7 @@ STAGES = (
           spans=("normalize",), paper="Sec. 5.1 (normal form)"),
     Stage("build_grouping", ("normal_form", "schema", "role"),
           "encoded_query", cache_kind="prepare",
-          cache_key="sha256(coql_ast, schema, role)",
+          cache_key="sha256(id(coql_ast), id(schema), role)",
           spans=("encode",), paper="Sec. 5.1 (grouping encoding)"),
     Stage("minimize", ("coql_ast", "schema"), "coql_ast",
           spans=("minimize",), paper="Sec. 1 (redundant subgoals)"),
@@ -88,7 +90,7 @@ STAGES = (
           paper="Sagiv–Yannakakis [36] (union distribution)"),
     Stage("chase", ("simulation_target", "constraints"), "chased_atoms",
           cache_kind="chase",
-          cache_key="sha256(atoms, constraints, schema)",
+          cache_key="sha256(atoms, constraints, id(schema))",
           spans=("chase",),
           paper="inclusion dependencies (chase saturation)"),
     Stage("enumerate_obligations", ("grouping_query",),
@@ -105,8 +107,8 @@ STAGES = (
           spans=("decide", "simulation"), paper="Thm. 4.1 (simulation)"),
     Stage("reduce_union", ("query_family", "query_family"), "verdict",
           cache_kind="branch_verdict",
-          cache_key="sha256(sub_branch, sup_branch, schema, method, "
-                    "constraints)",
+          cache_key="sha256(id(sub_branch), id(sup_branch), id(schema), "
+                    "method, constraints)",
           spans=("reduce_union",),
           paper="Sagiv–Yannakakis [36] (all/any reduction)"),
     Stage("analyze_cost", ("grouping_query", "grouping_query"),
@@ -151,7 +153,7 @@ def _prepare_key(query, schema, name):
     """The ``prepare`` key of a parsed *query* over a normalized
     *schema*: the one derivation behind :meth:`Pipeline.prepare_key`
     and the key :meth:`Pipeline.prepare` stores under."""
-    return artifact_key("prepare", query, tuple(sorted(schema.items())), name)
+    return artifact_key("prepare", identity(query), identity(schema), name)
 
 
 class Pipeline:
@@ -196,10 +198,12 @@ class Pipeline:
     def parse(self, text):
         """Stage ``parse``: COQL text → AST.
 
-        Cached under the digest of the raw text (kind ``parse``) —
-        cheap to key, and a hit returns the *same* AST object every
-        time, so downstream content hashing of the tree is memoized by
-        identity too.  Safe to share: ASTs are immutable.
+        Cached under the digest of the raw text (kind ``parse``).  Every
+        AST returned, fresh, from memory or loaded from disk, carries
+        that key as its name in later keys (its ``_source``, see
+        :func:`repro.pipeline.fingerprint.identity`), so the text is
+        keyed once and the tree is never digested.  Safe to share: ASTs
+        are immutable.
         """
         from repro.coql.parser import parse_coql
 
@@ -208,14 +212,20 @@ class Pipeline:
             key = artifact_key("parse", text)
             cached = self._lookup("parse", key)
             if cached is not MISSING:
+                # A copy loaded from disk lost its stamp to the pickle.
+                object.__setattr__(cached, "_source", key)
                 return cached
         with self.tracer.span("parse", chars=len(text)):
             ast = parse_coql(text)
+        if key is not None:
+            object.__setattr__(ast, "_source", key)
         self._store("parse", key, ast)
         return ast
 
     def prepare_key(self, query, schema, name="q"):
-        """The content-addressed store key of a ``prepare`` artifact.
+        """The store key of a ``prepare`` artifact: derived from the
+        query's and the schema's :func:`~repro.pipeline.fingerprint.\
+identity` and the role *name*.
 
         Deterministic across processes: the parallel engine's workers
         compute bit-identical keys for the pairs the parent dispatched.
@@ -379,20 +389,21 @@ class Pipeline:
 
         Returns a :class:`repro.constraints.chase.ChaseResult`, cached
         under kind ``chase`` keyed on the atoms, the dependency tuple,
-        and the schema (which fixes the attribute→position layout of
-        the flat encoding).  The key is content-addressed, so the
-        Ontop-style memoization extends across engines, worker
-        processes, and the persistent store tier.
+        and the normalized schema's identity (the schema fixes the
+        attribute→position layout of the flat encoding).  The key is
+        process-portable, so the Ontop-style memoization extends across
+        engines, worker processes, and the persistent store tier.
         """
         from repro.constraints.chase import chase_atoms, resolve_dependencies
 
         atoms = tuple(atoms)
         constraints = tuple(constraints)
-        schema_items = tuple(sorted(schema.items()))
         with self.tracer.span("chase", deps=len(constraints)) as span:
             key = None
             if self.store is not None:
-                key = artifact_key("chase", atoms, constraints, schema_items)
+                key = artifact_key(
+                    "chase", atoms, constraints, identity(schema)
+                )
                 cached = self._lookup("chase", key)
                 if cached is not MISSING:
                     self._tally("chase_hits")

@@ -21,8 +21,9 @@ Exports: :meth:`Tracer.as_dict` (plain JSON tree) and
 CLI's ``--trace-out``.
 
 Retention is optional: a ``Tracer(retain=False)`` still feeds the stats
-timers but keeps no event objects, which is what parallel workers use so
-a long-lived pool never accumulates trace memory.
+timers and the per-stage rollup of :meth:`Tracer.stage_summary` but
+keeps no event objects, which is what parallel workers and ``repro
+serve`` use so a long-lived process never accumulates trace memory.
 """
 
 import json
@@ -109,7 +110,8 @@ class Tracer:
     :param stats: the :class:`EngineStats` whose per-stage timers this
         tracer maintains (None = trace only).
     :param retain: keep event objects for export (True) or feed the
-        timers and drop them (False, the parallel workers' mode).
+        timers and the stage rollup and drop them (False, the mode of
+        the parallel workers and the service).
     """
 
     def __init__(self, stats=None, retain=True):
@@ -117,6 +119,7 @@ class Tracer:
         self._retain = retain
         self._roots = []
         self._stack = []
+        self._summary = {}
         self._epoch = perf_counter()
 
     @contextmanager
@@ -138,6 +141,17 @@ class Tracer:
             event.duration = perf_counter() - event.start
             if self._stats is not None and stage in TIMED_STAGES:
                 self._stats.add_time(stage, event.duration)
+            row = self._summary.get(stage)
+            if row is None:
+                row = self._summary[stage] = {
+                    "runs": 0, "seconds": 0.0, "hits": 0, "misses": 0,
+                }
+            row["runs"] += 1
+            row["seconds"] += event.duration
+            if event.cache == "hit":
+                row["hits"] += 1
+            elif event.cache == "miss":
+                row["misses"] += 1
 
     def bind_stats(self, stats):
         """Re-point the timer sink (used when stats objects are swapped)."""
@@ -155,30 +169,21 @@ class Tracer:
             yield from root.walk()
 
     def clear(self):
-        """Drop every retained span (open spans keep recording)."""
+        """Drop every retained span and the stage rollup (open spans
+        keep recording)."""
         del self._roots[:]
+        self._summary.clear()
 
     def stage_summary(self):
         """Per-stage rollup: ``{stage: {runs, seconds, hits, misses}}``.
 
-        The per-stage breakdown behind the CLI's ``--stats`` report;
+        The per-stage breakdown behind the CLI's ``--stats`` report,
+        tallied as spans close, so it needs no retained events;
         ``seconds`` sums span durations, so for the stages of
         :data:`TIMED_STAGES` it reconciles exactly with the
         ``EngineStats`` timers this tracer maintains.
         """
-        summary = {}
-        for event in self.events():
-            row = summary.setdefault(
-                event.stage, {"runs": 0, "seconds": 0.0, "hits": 0,
-                              "misses": 0},
-            )
-            row["runs"] += 1
-            row["seconds"] += event.duration
-            if event.cache == "hit":
-                row["hits"] += 1
-            elif event.cache == "miss":
-                row["misses"] += 1
-        return summary
+        return {stage: dict(row) for stage, row in self._summary.items()}
 
     # -- exports -------------------------------------------------------
 

@@ -58,7 +58,11 @@ from concurrent.futures import ThreadPoolExecutor
 from time import monotonic
 
 from repro.errors import ReproError
-from repro.engine import ParallelContainmentEngine, UNDECIDED
+from repro.engine import (
+    ContainmentEngine,
+    ParallelContainmentEngine,
+    UNDECIDED,
+)
 from repro.engine.parallel import Undecided
 from repro.pipeline.fingerprint import artifact_key
 from repro.service.batching import MicroBatcher
@@ -141,9 +145,16 @@ class ContainmentService:
         self.host = host
         self.port = port
         self._store_path = store_path
+        constraints = tuple(constraints)
+        # A long-lived server, like a pool worker, keeps no per-check
+        # trace trees: nothing reads them, and they grow with every check.
         self._engine = ParallelContainmentEngine(
             jobs=jobs, timeout_s=timeout_s, store_path=store_path,
-            constraints=tuple(constraints),
+            constraints=constraints,
+            engine=ContainmentEngine(
+                store_path=store_path, constraints=constraints,
+                retain_trace=False,
+            ),
         )
         self._default_timeout_s = timeout_s
         self._batch_window_s = batch_window_s

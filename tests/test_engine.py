@@ -113,6 +113,14 @@ class TestMemoization:
         assert stats.counter("prepare_misses") == 1
         assert stats.counter("prepare_hits") == 1
 
+    def test_equal_built_asts_share_one_prepare_entry(self):
+        engine = ContainmentEngine()
+        engine.prepare(_built_flat(), SCHEMA)
+        engine.prepare(_built_flat(), SCHEMA)
+        stats = engine.stats()
+        assert stats.counter("prepare_misses") == 1
+        assert stats.counter("prepare_hits") == 1
+
     def test_clear_caches_and_reset_stats(self):
         engine = ContainmentEngine()
         engine.contains(WIDER, UNLINKED, SCHEMA)
@@ -131,6 +139,66 @@ class TestMemoization:
         assert engine.stats().as_dict()["homomorphism_nodes"] == 0
         assert engine.stats().counter("contains_calls") == 0
         assert engine.contains(WIDER, UNLINKED, SCHEMA)
+
+
+def _built_flat():
+    """FLAT built in code: no source span, no text key."""
+    from repro.coql.ast import Proj, RecordExpr, RelRef, Select, VarRef
+
+    return Select(
+        RecordExpr({"v": Proj(VarRef("x"), "a")}), [("x", RelRef("r"))]
+    )
+
+
+class TestQueryIdentity:
+    """A parsed query is named in store keys by its text's key; the
+    stamp that carries it is invisible everywhere else."""
+
+    def test_cold_check_digests_no_ast(self, monkeypatch):
+        import importlib
+
+        from repro.coql.ast import Expr
+
+        # The package re-exports the function under the module's name.
+        fingerprint_module = importlib.import_module(
+            "repro.pipeline.fingerprint"
+        )
+        digested = []
+        slots_digest = fingerprint_module._slots_digest
+
+        def counting(obj):
+            if isinstance(obj, Expr):
+                digested.append(obj)
+            return slots_digest(obj)
+
+        monkeypatch.setattr(fingerprint_module, "_slots_digest", counting)
+        engine = ContainmentEngine()
+        assert engine.contains(WIDER, UNLINKED, SCHEMA) is True
+        assert engine.stats().counter("prepare_misses") == 2
+        assert digested == []
+
+    def test_stamp_is_invisible(self):
+        from repro.coql import parse_coql
+        from repro.pipeline import fingerprint
+
+        parsed = parse_coql(FLAT)
+        staged = ContainmentEngine().pipeline().parse(FLAT)
+        built = _built_flat()
+        for query in (parsed, staged):
+            assert query == built
+            assert hash(query) == hash(built)
+            assert fingerprint(query) == fingerprint(built)
+
+    def test_parsed_and_built_asts_are_named_apart(self):
+        from repro.coql import parse_coql
+        from repro.pipeline.fingerprint import artifact_key, identity
+
+        assert identity(parse_coql(FLAT)) == artifact_key("parse", FLAT)
+        assert identity(ContainmentEngine().pipeline().parse(FLAT)) == (
+            artifact_key("parse", FLAT)
+        )
+        assert identity(_built_flat()) == identity(_built_flat())
+        assert identity(_built_flat()) != identity(parse_coql(FLAT))
 
 
 class TestInstrumentation:

@@ -51,7 +51,10 @@ def _golden_inputs():
     }))
     return {
         "ast": ("ast", ast),
-        "prepare": ("prepare", ast, schema_items, "q"),
+        "prepare": (
+            "prepare", reference_digest(("parse", DEPTH3)).hex(),
+            reference_digest(schema_items).hex(), "q",
+        ),
         "grouping": ("grouping", sub),
         "flat_cq": ("flat_cq", sub.to_flat_cq(("mids",))),
         "set_type": ("type", nested),

@@ -28,6 +28,7 @@ from repro.pipeline import (
     fingerprint,
     stage_table,
 )
+from repro.pipeline.fingerprint import identity
 
 SCHEMA = {"r": ("a", "b"), "s": ("k", "b")}
 
@@ -57,11 +58,13 @@ DEPTH3_SUP = (
 #: existed.  Persisted SQLite rows are found under these exact bytes, so
 #: any change here orphans every durable artifact.  The
 #: ``obligation_verdicts`` entry was re-recorded at ``FORMAT_VERSION`` 3,
-#: when verdict keys lost their witness-count component.
+#: when verdict keys lost their witness-count component, and the
+#: ``prepare`` entry at ``FORMAT_VERSION`` 4, when a parsed query came to
+#: be named by its text's key and a schema by its own digest.
 GOLDEN_KEYS = {
     "ast": "f68fa57c9fa26596a84fe1c22712e9aa3604f4373634837080cc5a4c9a532dd3",
     "prepare":
-        "7fb98900b2e148ed37792e8fd5d93f78b57d12427ef5c414610aa980cea4443b",
+        "da05daa8d53b5b76aaae97b183ef347f58edcbc2c5ec625abcab760b1e21b904",
     "grouping":
         "c4b646e503fb276ce9202f9904ae5c63886307d9c831877f3ad0c3b42b81397f",
     "flat_cq":
@@ -500,6 +503,9 @@ class TestFingerprint:
         used = corpus()
         for obj in used:
             fingerprint(obj)
+        # Resolve the parsed tree's stamp: its copy in the fresh corpus
+        # still holds the key's parts, so a pickled stamp would differ.
+        identity(used[0])
         for seen, fresh in zip(used, corpus()):
             assert pickle.dumps(seen) == pickle.dumps(fresh), seen
 
@@ -688,8 +694,8 @@ class TestStageDeclarations:
 
 
 class TestTracing:
-    def _worked_engine(self):
-        engine = ContainmentEngine()
+    def _worked_engine(self, retain_trace=True):
+        engine = ContainmentEngine(retain_trace=retain_trace)
         engine.contains(WIDER, LINKED, SCHEMA)
         engine.contains(WIDER, LINKED, SCHEMA)  # warm: cache-hit spans
         engine.contains(DEPTH3, DEPTH3, SCHEMA)  # depth-3 workload
@@ -728,6 +734,23 @@ class TestTracing:
         assert summary["prepare"]["hits"] >= 2
         assert summary["prepare"]["misses"] >= 2
         assert summary["check"]["runs"] == 4
+
+    def test_stage_summary_needs_no_retained_events(self):
+        def counts(engine):
+            return {
+                stage: (row["runs"], row["hits"], row["misses"])
+                for stage, row in engine.tracer().stage_summary().items()
+            }
+
+        retained = self._worked_engine()
+        dropped = self._worked_engine(retain_trace=False)
+        assert dropped.tracer().roots() == ()
+        assert counts(dropped) == counts(retained)
+        for stage, seconds in dropped.stats().timers.items():
+            assert dropped.tracer().stage_summary()[stage][
+                "seconds"] == pytest.approx(seconds)
+        dropped.clear_trace()
+        assert dropped.tracer().stage_summary() == {}
 
     def test_chrome_trace_is_valid_and_complete(self, tmp_path):
         engine = self._worked_engine()
