@@ -709,8 +709,10 @@ def build_parser():
                         "answer \"undecided\"")
     p.add_argument("--batch-window-ms", type=float, default=2.0,
                    dest="batch_window_ms",
-                   help="micro-batching window in milliseconds "
-                        "(default: %(default)s)")
+                   help="longest a check waits in the micro-batcher for "
+                        "company, in milliseconds; an idle engine takes "
+                        "checks without waiting when there is one per "
+                        "worker (default: %(default)s)")
     p.add_argument("--max-batch", type=int, default=64, dest="max_batch",
                    help="dispatch a batch at this many queued checks "
                         "(default: %(default)s)")

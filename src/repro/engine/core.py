@@ -146,11 +146,15 @@ classify_many`: labels are cached in *engine*'s store under the
     """
     pipeline = engine.pipeline()
     schema = as_schema(schema)
+    # The pairs keep the caller's texts, so a pool worker names each
+    # query by its text's key as this process does; a pickled AST would
+    # lose that name.
+    given, given_query = candidates, query
     if isinstance(query, str):
         query = pipeline.parse(query)
     candidates = [
         pipeline.parse(candidate) if isinstance(candidate, str) else candidate
-        for candidate in candidates
+        for candidate in given
     ]
     store = pipeline.store
     labels = [None] * len(candidates)
@@ -173,8 +177,8 @@ classify_many`: labels are cached in *engine*'s store under the
     if missing:
         pairs = []
         for index in missing:
-            pairs.append((candidates[index], query))  # query ⊑ candidate
-            pairs.append((query, candidates[index]))  # candidate ⊑ query
+            pairs.append((given[index], given_query))  # query ⊑ candidate
+            pairs.append((given_query, given[index]))  # candidate ⊑ query
         verdicts = decide_pairs(pairs)
         for slot, index in enumerate(missing):
             forward = verdicts[2 * slot]

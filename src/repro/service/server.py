@@ -46,9 +46,13 @@ enforce it by ``SIGALRM``; the service additionally bounds the
 window plus a grace), so a client always hears ``"undecided"`` within a
 bounded wall time even when in-process enforcement is unavailable.
 Batching: requests may only share an engine batch when their schema and
-``timeout_s`` agree, so the batch group key is the content fingerprint
-of exactly that pair.  Body fields the endpoint does not know are
-ignored.
+``timeout_s`` agree, so that pair is the batch group key.  With
+``jobs=1`` a request to an idle engine is dispatched on the next loop
+turn; one that arrives while a batch runs waits for that batch, at most
+the window.  With ``jobs >= 2`` an idle engine takes a group once it
+holds ``jobs`` requests, so they share the pool's workers, and a lone
+request waits at most the window for them (see :class:`MicroBatcher`).
+Body fields the endpoint does not know are ignored.
 """
 
 import asyncio
@@ -64,7 +68,6 @@ from repro.engine import (
     UNDECIDED,
 )
 from repro.engine.parallel import Undecided
-from repro.pipeline.fingerprint import artifact_key
 from repro.service.batching import MicroBatcher
 
 __all__ = ["ContainmentService", "BackgroundService", "DEFAULT_PORT"]
@@ -169,6 +172,7 @@ class ContainmentService:
         self._batcher = MicroBatcher(
             self._decide_batch, executor=self._executor,
             window_s=batch_window_s, max_batch=max_batch,
+            workers=self._engine.jobs,
         )
         self._server = None
         self._requests = {}
@@ -276,9 +280,8 @@ class ContainmentService:
         sub = self._query_field(body, "sub")
         timeout_s = self._timeout_of(body)
         group = (tuple(sorted(schema.items())), timeout_s)
-        key = artifact_key("service_batch", *group)
         verdict, missed = await self._with_deadline(
-            self._batcher.submit(key, group, (sup, sub)), timeout_s
+            self._batcher.submit(group, (sup, sub)), timeout_s
         )
         payload = _verdict_payload(verdict)
         if isinstance(payload, dict):  # a captured domain error

@@ -17,7 +17,7 @@ import repro
 from repro.cq.propagation import CompiledTarget, compile_target
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.terms import Atom, Const, Var
-from repro.engine import ContainmentEngine
+from repro.engine import ContainmentEngine, ParallelContainmentEngine
 from repro.grouping.query import GroupingNode
 from repro.objects.types import ATOM, RecordType, SetType
 from repro.objects.values import CSet, Record
@@ -410,6 +410,21 @@ class TestCrossProcessWarmStart:
             tally.get("disk_hits", 0) for tally in counters.values()
         ) > 0
         assert any(rate == 1.0 for rate in rates.values() if rate is not None)
+
+    def test_pool_classification_shares_prepare_entries(self, tmp_path):
+        # Pool workers receive the texts, not parsed trees (a pickled tree
+        # loses its text's key), so they prepare under the key this
+        # process derives for the same text.
+        path = str(tmp_path / "cache.db")
+        with ParallelContainmentEngine(jobs=2, store_path=path) as engine:
+            assert engine.classify_many(WIDER, [UNLINKED, FLAT], SCHEMA) == [
+                "contained", "irrelevant",
+            ]
+        fresh = ContainmentEngine(store_path=path)
+        fresh.prepare(UNLINKED, SCHEMA)
+        tally = fresh.store().counters()["prepare"]
+        fresh.store().close()
+        assert (tally["disk_hits"], tally["disk_misses"]) == (1, 0)
 
     def test_engine_store_path_round_trip_same_process(self, tmp_path):
         path = str(tmp_path / "cache.db")

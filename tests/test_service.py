@@ -6,7 +6,9 @@ import asyncio
 import json
 import signal
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
+from time import monotonic, sleep
 
 import pytest
 
@@ -216,10 +218,30 @@ def clique_coql(size):
         ", ".join(gens), " and ".join(conds))
 
 
-def one_batch(svc, requests, schema, **knobs):
+def wait_pending(svc, count):
+    """Wait until *count* requests wait in the service's batcher (read on
+    its loop)."""
+    async def pending():
+        buckets = svc.service._batcher._pending.values()
+        return sum(len(bucket.entries) for bucket in buckets)
+
+    deadline = monotonic() + 10
+    while asyncio.run_coroutine_threadsafe(
+        pending(), svc._loop
+    ).result(10) < count:
+        assert monotonic() < deadline, "requests never reached the batcher"
+        sleep(0.005)
+
+
+def one_batch(svc, requests, schema, holder, **knobs):
     """Send the ``{name: (sup, sub)}`` requests concurrently, each on its
-    own connection; their verdicts or :class:`ServiceError` exceptions,
-    and the service's stats once every request is answered."""
+    own connection, while the service's first batch (the *holder* pair)
+    is held on the engine thread; the held batch is released once every
+    request waits in the batcher.  Their verdicts or
+    :class:`ServiceError` exceptions, and the service's stats once every
+    request is answered."""
+    batcher = svc.service._batcher
+    gate = batcher._run_batch = GatedBatches(batcher._run_batch)
     results = {}
 
     def hit(client, name, pair):
@@ -228,13 +250,20 @@ def one_batch(svc, requests, schema, **knobs):
         except ServiceError as exc:
             results[name] = exc
 
+    requests = dict(requests, holder=holder)
     clients = [ServiceClient(svc.host, svc.port) for __ in requests]
     threads = [
         threading.Thread(target=hit, args=(client,) + item)
         for client, item in zip(clients, requests.items())
     ]
-    for thread in threads:
-        thread.start()
+    try:
+        threads[-1].start()
+        assert gate.held.wait(10)
+        for thread in threads[:-1]:
+            thread.start()
+        wait_pending(svc, len(threads) - 1)
+    finally:
+        gate.release.set()
     for thread in threads:
         thread.join(30)
         assert not thread.is_alive()
@@ -262,10 +291,16 @@ class TestBatchIsolation:
             "truncated": (truncated, FLAT),
             "deep": (deep, FLAT),
         }
-        with BackgroundService(timeout_s=30.0, batch_window_s=0.3) as svc:
-            results, stats = one_batch(svc, requests, "r:a,b;s:k,b")
-        # All three requests shared one micro-batch.
-        assert stats["service"]["batches"] == 1
+        # A window longer than the test: only the held batch finishing
+        # dispatches the requests waiting behind it.
+        with BackgroundService(timeout_s=30.0, batch_window_s=30.0) as svc:
+            results, stats = one_batch(
+                svc, requests, "r:a,b;s:k,b", (FLAT, FLAT_RESTRICTED)
+            )
+        # All three requests shared the micro-batch after the held one.
+        assert stats["service"]["batches"] == 2
+        assert stats["service"]["largest_batch"] == 3
+        assert results["holder"] is True
         assert results["good"] is True
         assert parse_error_message(results["truncated"]) == (
             "unexpected end of COQL input in %r" % truncated
@@ -284,19 +319,53 @@ class TestBatchIsolation:
         heavy = (clique_coql(10), clique_coql(9))
         truncated = "select [c: v0.id] from v0 in"
         requests = {"heavy": heavy, "truncated": (truncated, heavy[1])}
+        node = "select [c: v0.id] from v0 in node"
+        # The pool takes the lone holder when its window closes and the
+        # two requests, a full group of two, when the holder finishes.
+        # The response deadline stays 0.5 + 2.0 + 1.3 = 3.8 s.
         with BackgroundService(
-            jobs=2, batch_window_s=0.3, deadline_grace_s=3.0
+            jobs=2, batch_window_s=2.0, deadline_grace_s=1.3
         ) as svc:
             results, stats = one_batch(
-                svc, requests, "node:id;e:a,b", timeout_s=0.5
+                svc, requests, "node:id;e:a,b", (node, node), timeout_s=0.5
             )
-        assert stats["service"]["batches"] == 1
+        assert stats["service"]["batches"] == 2
+        assert stats["service"]["largest_batch"] == 2
+        assert results["holder"] is True
         assert results["heavy"] == "undecided"
         assert stats["service"]["deadline_misses"] == 0
         assert stats["engine"]["timeouts"] == 1
         assert parse_error_message(results["truncated"]) == (
             "unexpected end of COQL input in %r" % truncated
         )
+
+
+class TestPoolBatching:
+    def test_lone_request_waits_for_a_partner(self):
+        # With jobs=2 an idle engine holds a lone request (here for up to
+        # 30 s) until a second one arrives, then sends both as one batch
+        # to its workers.
+        results = {}
+
+        def hit(index, client):
+            results[index] = client.contain(FLAT, FLAT, "r:a,b;s:k,b")
+
+        with BackgroundService(jobs=2, batch_window_s=30.0) as svc:
+            clients = [ServiceClient(svc.host, svc.port) for __ in range(2)]
+            threads = [threading.Thread(target=hit, args=item)
+                       for item in enumerate(clients)]
+            threads[0].start()
+            wait_pending(svc, 1)
+            threads[1].start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            stats = clients[0].stats()
+            for client in clients:
+                client.close()
+        assert results == {0: True, 1: True}
+        assert stats["service"]["batches"] == 1
+        assert stats["service"]["largest_batch"] == 2
 
 
 class TestMicroBatcher:
@@ -310,9 +379,9 @@ class TestMicroBatcher:
         async def main():
             batcher = MicroBatcher(run_batch, window_s=0.01)
             results = await asyncio.gather(
-                batcher.submit("g", "knobs", 1),
-                batcher.submit("g", "knobs", 2),
-                batcher.submit("g", "knobs", 3),
+                batcher.submit("knobs", 1),
+                batcher.submit("knobs", 2),
+                batcher.submit("knobs", 3),
             )
             return results, batcher
 
@@ -333,8 +402,8 @@ class TestMicroBatcher:
         async def main():
             batcher = MicroBatcher(run_batch, window_s=0.01)
             await asyncio.gather(
-                batcher.submit("a", "knobs-a", 1),
-                batcher.submit("b", "knobs-b", 2),
+                batcher.submit("knobs-a", 1),
+                batcher.submit("knobs-b", 2),
             )
             return batcher
 
@@ -352,10 +421,10 @@ class TestMicroBatcher:
         async def main():
             batcher = MicroBatcher(run_batch, window_s=30.0, max_batch=2)
             return await asyncio.gather(
-                batcher.submit("g", "k", 1),
-                batcher.submit("g", "k", 2),
-                batcher.submit("g", "k", 3),
-                batcher.submit("g", "k", 4),
+                batcher.submit("k", 1),
+                batcher.submit("k", 2),
+                batcher.submit("k", 3),
+                batcher.submit("k", 4),
             )
 
         assert asyncio.run(main()) == [1, 2, 3, 4]
@@ -368,13 +437,194 @@ class TestMicroBatcher:
         async def main():
             batcher = MicroBatcher(run_batch, window_s=0.0)
             return await asyncio.gather(
-                batcher.submit("g", "k", 1),
-                batcher.submit("g", "k", 2),
+                batcher.submit("k", 1),
+                batcher.submit("k", 2),
                 return_exceptions=True,
             )
 
         results = asyncio.run(main())
         assert all(isinstance(r, RuntimeError) for r in results)
+
+    # Work conservation.  The windows below are far longer than any
+    # test waits, so a request that resolves was dispatched by an idle
+    # engine, a finished batch, or a short window, never by a 30 s one.
+
+    def test_idle_batcher_dispatches_a_lone_request_at_once(self):
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    lambda group, items: list(items), executor=executor,
+                    window_s=30.0,
+                )
+                return await asyncio.wait_for(batcher.submit("k", 1), 1)
+
+        assert asyncio.run(main()) == 1
+
+    def test_requests_behind_a_running_batch_share_the_next(self):
+        run_batch = GatedBatches()
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    run_batch, executor=executor, window_s=30.0
+                )
+                try:
+                    first = asyncio.ensure_future(batcher.submit("k", 1))
+                    await run_batch.wait_held()
+                    rest = [
+                        asyncio.ensure_future(batcher.submit("k", item))
+                        for item in (2, 3)
+                    ]
+                    await asyncio.sleep(0)  # both join one waiting group
+                    assert batcher.batches == 1
+                finally:
+                    run_batch.release.set()
+                results = await asyncio.wait_for(
+                    asyncio.gather(first, *rest), 10
+                )
+                return results, batcher
+
+        results, batcher = asyncio.run(main())
+        assert results == [10, 20, 30]
+        assert run_batch.calls == [[1], [2, 3]]
+        assert batcher.batches == 2
+
+    def test_window_bounds_the_wait_behind_a_held_batch(self):
+        run_batch = GatedBatches()
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    run_batch, executor=executor, window_s=0.01
+                )
+                try:
+                    first = asyncio.ensure_future(batcher.submit("k", 1))
+                    await run_batch.wait_held()
+                    second = asyncio.ensure_future(batcher.submit("k", 2))
+                    # The window, not the held batch, dispatches it.
+                    await until(lambda: batcher.batches == 2)
+                    assert run_batch.calls == [[1]]
+                finally:
+                    run_batch.release.set()
+                return await asyncio.wait_for(
+                    asyncio.gather(first, second), 10
+                )
+
+        assert asyncio.run(main()) == [10, 20]
+        assert run_batch.calls == [[1], [2]]
+
+    def test_failed_batch_leaves_the_batcher_idle(self):
+        def run_batch(group, items):
+            if items == [1]:
+                raise RuntimeError("engine fell over")
+            return list(items)
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    run_batch, executor=executor, window_s=30.0
+                )
+                with pytest.raises(RuntimeError):
+                    await asyncio.wait_for(batcher.submit("k", 1), 1)
+                return await asyncio.wait_for(batcher.submit("k", 2), 1)
+
+        assert asyncio.run(main()) == 2
+
+    # A pool (workers=2): an idle engine waits for a group of two.
+
+    def test_pool_holds_a_lone_request_for_a_partner(self):
+        run_batch = GatedBatches()
+        run_batch.release.set()
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    run_batch, executor=executor, window_s=30.0, workers=2
+                )
+                first = asyncio.ensure_future(batcher.submit("k", 1))
+                for __ in range(3):
+                    await asyncio.sleep(0)
+                assert batcher.batches == 0
+                second = batcher.submit("k", 2)
+                return await asyncio.wait_for(
+                    asyncio.gather(first, second), 1
+                )
+
+        assert asyncio.run(main()) == [10, 20]
+        assert run_batch.calls == [[1, 2]]
+
+    def test_pool_window_bounds_a_lone_request(self):
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    lambda group, items: list(items), executor=executor,
+                    window_s=0.01, workers=2,
+                )
+                return await asyncio.wait_for(batcher.submit("k", 1), 1)
+
+        assert asyncio.run(main()) == 1
+
+    def test_pool_hand_off_takes_only_full_groups(self):
+        run_batch = GatedBatches()
+
+        async def main():
+            with ThreadPoolExecutor(max_workers=1) as executor:
+                batcher = MicroBatcher(
+                    run_batch, executor=executor, window_s=30.0, workers=2
+                )
+                try:
+                    held = [asyncio.ensure_future(batcher.submit("k", item))
+                            for item in (1, 2)]
+                    await run_batch.wait_held()
+                    full = [asyncio.ensure_future(batcher.submit("k", item))
+                            for item in (3, 4)]
+                    lone = asyncio.ensure_future(batcher.submit("j", 5))
+                    await asyncio.sleep(0)
+                finally:
+                    run_batch.release.set()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*held, *full), 10
+                )
+                assert not lone.done() and batcher.batches == 2
+                await batcher.drain()
+                return results + [await asyncio.wait_for(lone, 10)]
+
+        assert asyncio.run(main()) == [10, 20, 30, 40, 50]
+        assert run_batch.calls == [[1, 2], [3, 4], [5]]
+
+
+class GatedBatches:
+    """A ``run_batch`` that records every batch, holds the first on the
+    executor thread until :attr:`release` is set, and answers through
+    *decide* (default: ten times each item)."""
+
+    def __init__(self, decide=None):
+        self.calls = []
+        self.held = threading.Event()
+        self.release = threading.Event()
+        self._decide = decide or (lambda group, items: [
+            item * 10 for item in items
+        ])
+
+    def __call__(self, group, items):
+        self.calls.append(list(items))
+        if not self.held.is_set():
+            self.held.set()
+            assert self.release.wait(30)
+        return self._decide(group, items)
+
+    async def wait_held(self):
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self.held.wait, 10)
+
+
+async def until(condition, timeout=10):
+    """Poll *condition* on the loop until it holds (at most *timeout* s)."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not condition():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
 
 
 class TestDeadlines:
